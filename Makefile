@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench chaos-soak chaos-soak-long bench-guard bench-shards shard-matrix server-smoke shootout policy-matrix scale-smoke
+.PHONY: all build test race bench chaos-soak chaos-soak-long bench-guard bench-shards shard-matrix server-smoke shootout policy-matrix scale-smoke recnbench
 
 all: build test
 
@@ -64,13 +64,14 @@ policy-matrix:
 	$(GO) test -race -run 'TestShootout|TestDispatchGolden|TestValidatePolicyOptions' ./internal/experiments/
 	$(GO) test -race -run TestAdmissionBadRequests ./internal/server/
 
-# The memory-scaling smoke: the lazy-state equivalence and fat-tree
-# battery under the race detector, the 1k-host fat-tree scaling figure
+# The memory-scaling smoke: the lazy-state battery (each lazy container
+# against its dense reference, the eager memory model against the dense
+# layout) and the fat-tree battery under the race detector, the 1k-host fat-tree scaling figure
 # at -shards 1 vs 4 (byte-identity), the 4k scale-benchmark guard
 # against the committed BENCH_PR11.json curve, and a short chaos soak
 # (which samples the fat-tree topology on a quarter of its seeds).
 scale-smoke:
-	$(GO) test -race -run 'TestFatTree|TestLazyEager|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/experiments/
+	$(GO) test -race -run 'TestFatTree|TestScaling|TestLazyState|LazyMatchesDense|TestEagerMemStats|TestLazyConstruction' ./internal/topology/ ./internal/fabric/ ./internal/experiments/
 	$(GO) test -race -run TestScaleBenchSmoke .
 	$(GO) build -o /tmp/recnsim-scale ./cmd/recnsim
 	/tmp/recnsim-scale -fig scaling1k -scale 0.02 -q -shards 1 > /tmp/scaling1k-s1.txt
@@ -85,3 +86,10 @@ scale-smoke:
 shard-matrix:
 	$(GO) test -race -v -run 'TestShard|TestSweepStoreFailure' ./internal/fabric/ ./internal/experiments/
 	$(GO) test -race -v -run TestChaosSoakSharded ./internal/check/chaos/
+
+# The declared benchmark (BENCHMARK.json) on its two end-to-end
+# workloads: the serial Fig 2a sweep and the same spec at 2 shards.
+# Each prints one JSON result line; see recnbench/README.md.
+recnbench:
+	bash recnbench/run.sh --workload fig2a --seed 1 --seconds 40 --trace 0
+	bash recnbench/run.sh --workload fig2a-shards2 --seed 1 --seconds 40 --trace 0

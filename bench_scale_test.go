@@ -46,7 +46,7 @@ type scalePoint struct {
 	EventsPerSec      float64 `json:"events_per_sec"`
 	StateBytes        int64   `json:"state_bytes"`
 	BytesPerPort      float64 `json:"bytes_per_port"`
-	EagerStateBytes   int64   `json:"eager_state_bytes"`
+	EagerModelBytes   int64   `json:"eager_state_bytes"`
 	EagerBytesPerPort float64 `json:"eager_bytes_per_port"`
 	LazyEagerRatio    float64 `json:"lazy_eager_ratio"`
 	HeapBytes         uint64  `json:"heap_bytes"`
@@ -118,7 +118,7 @@ func measureScalePoint(hosts int, scale float64) (scalePoint, error) {
 		EventsPerSec:      float64(res.Events) / (elapsed.Seconds() + 1e-9),
 		StateBytes:        res.Mem.StateBytes,
 		BytesPerPort:      res.Mem.BytesPerPort(),
-		EagerStateBytes:   eager.StateBytes,
+		EagerModelBytes:   eager.StateBytes,
 		EagerBytesPerPort: eager.BytesPerPort(),
 		LazyEagerRatio:    float64(res.Mem.StateBytes) / float64(eager.StateBytes),
 		HeapBytes:         ms.HeapAlloc,
@@ -231,8 +231,8 @@ func TestScaleBenchSmoke(t *testing.T) {
 	if p.Events == 0 || p.EventsPerSec <= 0 || p.ConstructionNs <= 0 {
 		t.Fatalf("degenerate measurement: %+v", p)
 	}
-	if p.StateBytes <= 0 || p.EagerStateBytes <= p.StateBytes {
-		t.Fatalf("no lazy win at 512 hosts: lazy %d, eager %d", p.StateBytes, p.EagerStateBytes)
+	if p.StateBytes <= 0 || p.EagerModelBytes <= p.StateBytes {
+		t.Fatalf("no lazy win at 512 hosts: lazy %d, eager %d", p.StateBytes, p.EagerModelBytes)
 	}
 	if p.LazyEagerRatio > 0.25 {
 		t.Errorf("512-host hotspot ratio %.3f exceeds the 25%% budget", p.LazyEagerRatio)

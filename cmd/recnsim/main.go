@@ -40,14 +40,13 @@ func main() {
 		list     = flag.Bool("list", false, "list figure IDs")
 		scale    = flag.Float64("scale", 0.25, "time scale (1.0 = paper durations)")
 		j        = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers for multi-policy figures (≥ 1; output is identical at any setting)")
-		shards   = flag.Int("shards", 0, "shard each simulation across this many cores (windowed runtime; output is identical at any value ≥ 1 but differs deterministically from the default serial engine; 0 = serial; the latency figures lat1/lat2 always run serial)")
+		shards   = flag.Int("shards", 0, "shard each simulation across this many cores (windowed runtime; output is identical at any value ≥ 1 but differs deterministically from the default serial engine; 0 = serial)")
 		pkt      = flag.Int("pkt", 0, "packet size in bytes (default per figure)")
 		rows     = flag.Int("rows", 40, "max table rows")
 		quiet    = flag.Bool("q", false, "suppress timing output")
 		format   = flag.String("format", "text", "output format: text or csv")
 		policies = flag.String("policies", "", "comma-separated mechanisms to run where the figure allows it, e.g. 'RECN,VOQnet' (default per figure)")
 		topo     = flag.String("topo", "", "network topology where the figure allows it: min, fattree, mesh (default per figure; 'list' prints the names and exits)")
-		eager    = flag.Bool("eager", false, "fully preallocate per-port state instead of lazy materialization (identical output; only the memory columns and the process footprint move)")
 		faults   = flag.String("faults", "", "fault-injection spec, e.g. 'seed=1,drop=token:2,droprate=credit:0.01,flap=0:4:100us:140us' (recovery watchdogs enabled; accounting printed in table notes)")
 		thrSpec  = flag.String("throttle", "", "throttle policy tunables, e.g. 'mark=16384,min=100,dec=500,inc=50,period=5us,delay=500ns,cnp=1us' (defaults apply to omitted keys)")
 		arnSpec  = flag.String("arn", "", "arn policy tunables, e.g. 'on=16384,off=4096' (hint hysteresis thresholds in bytes)")
@@ -105,7 +104,6 @@ func main() {
 		Shards:       *shards,
 		Check:        *chk,
 		Topo:         *topo,
-		EagerState:   *eager,
 	}
 	// Validate mechanism names and policy tunables up front, before any
 	// (possibly long) simulation starts.

@@ -67,7 +67,7 @@ func main() {
 		return
 	}
 	// All flag validation happens before any simulation starts.
-	if err := validateFlags(*sweep, *j, *shards, *cache, *topo); err != nil {
+	if err := validateFlags(*j, *shards, *cache, *topo); err != nil {
 		fmt.Fprintf(os.Stderr, "recnsweep: %v\n", err)
 		os.Exit(2)
 	}
@@ -162,10 +162,9 @@ func fail(prefix string, err error) {
 }
 
 // validateFlags rejects a bad worker count, shard count, topology
-// name, an unusable cache directory, or a shards/latency-figure
-// combination up front, naming the offending flag; nothing simulates
-// until all pass.
-func validateFlags(sweep string, j, shards int, cacheDir, topo string) error {
+// name or an unusable cache directory up front, naming the offending
+// flag; nothing simulates until all pass.
+func validateFlags(j, shards int, cacheDir, topo string) error {
 	if j < 1 {
 		return fmt.Errorf("-j %d: want at least 1 worker", j)
 	}
@@ -175,25 +174,12 @@ func validateFlags(sweep string, j, shards int, cacheDir, topo string) error {
 	if shards < 0 {
 		return fmt.Errorf("-shards %d: want 0 (serial) or a positive shard count", shards)
 	}
-	if shards > 0 && sweepHasLatency(sweep) {
-		return fmt.Errorf("-shards %d: latency figures (lat1/lat2) need the serial per-packet Observe path; drop -shards or pick a non-latency sweep", shards)
-	}
 	if cacheDir != "" {
 		if _, err := repro.OpenRunCache(cacheDir); err != nil {
 			return fmt.Errorf("-cache: %w", err)
 		}
 	}
 	return nil
-}
-
-// sweepHasLatency reports whether a sweep selection includes the
-// latency figures, which cannot run on the sharded runtime.
-func sweepHasLatency(sweep string) bool {
-	switch strings.ToLower(sweep) {
-	case "all", "figures", "lat1", "lat2":
-		return true
-	}
-	return false
 }
 
 func printTables(tables []*repro.Table) {

@@ -11,7 +11,7 @@ import (
 // offending flag (the style of recnsim's -policies check).
 func TestValidateFlagsRejectsBadWorkerCounts(t *testing.T) {
 	for _, j := range []int{0, -1, -8} {
-		err := validateFlags("saqs", j, 0, "", "")
+		err := validateFlags(j, 0, "", "")
 		if err == nil {
 			t.Errorf("validateFlags(j=%d) accepted", j)
 			continue
@@ -23,7 +23,7 @@ func TestValidateFlagsRejectsBadWorkerCounts(t *testing.T) {
 }
 
 func TestValidateFlagsRejectsNegativeShards(t *testing.T) {
-	err := validateFlags("saqs", 1, -2, "", "")
+	err := validateFlags(1, -2, "", "")
 	if err == nil {
 		t.Fatal("validateFlags accepted a negative shard count")
 	}
@@ -32,32 +32,19 @@ func TestValidateFlagsRejectsNegativeShards(t *testing.T) {
 	}
 }
 
-// Latency figures need the serial per-packet Observe path, so a sweep
-// that includes them must reject -shards before anything simulates —
-// not four figures into an `all` sweep.
-func TestValidateFlagsRejectsShardsWithLatencyFigures(t *testing.T) {
-	for _, sweep := range []string{"lat1", "lat2", "all", "figures", "LAT1"} {
-		err := validateFlags(sweep, 1, 2, "", "")
-		if err == nil {
-			t.Errorf("validateFlags(sweep=%q, shards=2) accepted", sweep)
-			continue
-		}
-		if !strings.Contains(err.Error(), "-shards") || !strings.Contains(err.Error(), "lat") {
-			t.Errorf("validateFlags(sweep=%q) error %q does not explain the shards/latency conflict", sweep, err)
-		}
-	}
-	// Non-latency sweeps keep working with shards.
-	for _, sweep := range []string{"saqs", "2a", "6b"} {
-		if err := validateFlags(sweep, 1, 2, "", ""); err != nil {
-			t.Errorf("validateFlags(sweep=%q, shards=2) = %v", sweep, err)
-		}
+// Latency figures meter their windows inside the per-shard delivery
+// meters, so every sweep — the latency figures and the `all` and
+// `figures` selections that include them — accepts -shards.
+func TestValidateFlagsAcceptsShardsWithLatencyFigures(t *testing.T) {
+	if err := validateFlags(1, 2, "", ""); err != nil {
+		t.Errorf("validateFlags(shards=2) = %v", err)
 	}
 }
 
 // A bad topology name must be rejected before anything simulates, and
 // every accepted name (plus the empty per-figure default) must pass.
 func TestValidateFlagsTopology(t *testing.T) {
-	err := validateFlags("saqs", 1, 0, "", "hypercube")
+	err := validateFlags(1, 0, "", "hypercube")
 	if err == nil {
 		t.Fatal("validateFlags accepted topology \"hypercube\"")
 	}
@@ -65,7 +52,7 @@ func TestValidateFlagsTopology(t *testing.T) {
 		t.Errorf("error %q does not name -topo and the valid names", err)
 	}
 	for _, topo := range []string{"", "min", "fattree", "fat-tree", "mesh", "FatTree"} {
-		if err := validateFlags("saqs", 1, 0, "", topo); err != nil {
+		if err := validateFlags(1, 0, "", topo); err != nil {
 			t.Errorf("validateFlags(topo=%q) = %v", topo, err)
 		}
 	}
@@ -78,7 +65,7 @@ func TestValidateFlagsRejectsUnwritableCacheDir(t *testing.T) {
 	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	err := validateFlags("saqs", 1, 0, filepath.Join(file, "sub"), "")
+	err := validateFlags(1, 0, filepath.Join(file, "sub"), "")
 	if err == nil {
 		t.Fatal("validateFlags accepted a cache dir under a regular file")
 	}
@@ -88,12 +75,12 @@ func TestValidateFlagsRejectsUnwritableCacheDir(t *testing.T) {
 }
 
 func TestValidateFlagsAccepts(t *testing.T) {
-	if err := validateFlags("saqs", 1, 0, "", ""); err != nil {
-		t.Errorf("validateFlags(saqs, 1, 0, \"\") = %v", err)
+	if err := validateFlags(1, 0, "", ""); err != nil {
+		t.Errorf("validateFlags(1, 0, \"\") = %v", err)
 	}
 	dir := filepath.Join(t.TempDir(), "cache")
-	if err := validateFlags("boost", 8, 4, dir, ""); err != nil {
-		t.Errorf("validateFlags(boost, 8, 4, %q) = %v", dir, err)
+	if err := validateFlags(8, 4, dir, ""); err != nil {
+		t.Errorf("validateFlags(8, 4, %q) = %v", dir, err)
 	}
 	if fi, err := os.Stat(dir); err != nil || !fi.IsDir() {
 		t.Errorf("cache dir not created: %v, %v", fi, err)

@@ -5,14 +5,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
-	"repro/internal/sim"
 	"repro/internal/traffic"
 )
 
@@ -29,14 +26,18 @@ func TestExecuteContextCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// Canceling mid-run interrupts at the next engine chunk: the Observe
-// callback fires inside the simulation, so a cancel from the first
-// delivered packet must be seen well before the horizon.
+// Canceling mid-run interrupts at the next engine chunk: the cancel
+// fires from an event inside the simulation, so it must be seen well
+// before the horizon.
 func TestExecuteContextInterruptsMidRun(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	r := smallRun(t)
-	r.Observe = func(now sim.Time, _ *pkt.Packet) { cancel() }
+	install := r.Workload
+	r.Workload = func(n traffic.Network) error {
+		n.Schedule(r.Until/4, cancel)
+		return install(n)
+	}
 	res, err := r.ExecuteContext(ctx)
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -192,15 +193,21 @@ func TestRunCacheConcurrentStoreSameSpec(t *testing.T) {
 	}
 }
 
-// Latency figures need the serial per-packet Observe path; asking for
-// shards must fail up front with an explanation, not quietly ignore
-// the flag (its pre-context behavior).
-func TestLatencyFigRejectsShards(t *testing.T) {
-	_, err := LatencyFig(1, Options{Scale: 0.01, Shards: 2})
-	if err == nil {
-		t.Fatal("LatencyFig accepted Shards=2")
-	}
-	if !strings.Contains(err.Error(), "shards") {
-		t.Errorf("error %q does not mention shards", err)
+// Latency figures meter their windows in the per-shard delivery meters,
+// so they run sharded like every other figure and render byte-identically
+// at every shard count.
+func TestLatencyFigShardInvariant(t *testing.T) {
+	var want string
+	for _, shards := range []int{1, 2, 4} {
+		tb, err := LatencyFig(1, Options{Scale: 0.01, Shards: shards})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		got := tb.String()
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("shards=%d renders differently from shards=1:\n%s\nvs\n%s", shards, got, want)
+		}
 	}
 }

@@ -25,11 +25,6 @@ type Options struct {
 	// Topo selects the topology family for every run ("" = the paper's
 	// perfect-shuffle MIN; see Run.Topo / BuildTopology).
 	Topo string
-	// EagerState disables the fabric's lazy state materialization on
-	// every run (see Run.EagerState). Figure output is bit-identical
-	// either way; the flag exists for the equivalence tests and for
-	// measuring the eager memory footprint.
-	EagerState bool
 	// FaultSpec, if non-empty, injects faults into every run (see
 	// fault.ParsePlan for the syntax) with the default recovery layer
 	// enabled; the per-run fault/recovery accounting is appended to the
@@ -303,7 +298,6 @@ func runPolicies(hosts int, policies []fabric.Policy, o Options, key string,
 			Policy:       p,
 			PacketSize:   o.PacketSize,
 			Topo:         o.Topo,
-			EagerState:   o.EagerState,
 			Key:          key,
 			Workload:     workload,
 			Until:        until,
@@ -532,7 +526,6 @@ func runAblations(o Options, cases []ablationCase) ([]AblationResult, error) {
 			Policy:     fabric.PolicyRECN,
 			PacketSize: o.PacketSize,
 			Topo:       o.Topo,
-			EagerState: o.EagerState,
 			Key:        cornerKey(2) + "|" + c.keyFor,
 			Workload:   workload,
 			Until:      until,

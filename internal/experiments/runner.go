@@ -106,11 +106,6 @@ type Run struct {
 	// adaptive up-routing, "mesh" a square 2D mesh (Hosts must be a
 	// perfect square). See BuildTopology.
 	Topo string
-	// EagerState disables the fabric's lazy queue/credit
-	// materialization (fabric.Config.EagerState): results are
-	// bit-identical either way, but the memory accounting differs, so
-	// the flag is part of the spec key.
-	EagerState bool
 	// Key names the non-declarative parts of the spec (the Workload and
 	// Mutate closures) for the sweep engine: it feeds SpecKey/SpecHash,
 	// which identify the run in the result cache and derive the run's
@@ -131,9 +126,11 @@ type Run struct {
 	DrainAll bool
 	// Mutate, if set, adjusts the fabric configuration (ablations).
 	Mutate func(*fabric.Config)
-	// Observe, if set, sees every delivered packet (after the built-in
-	// meters).
-	Observe func(now sim.Time, p *pkt.Packet)
+	// LatencyWindows, if set, meters packet latency separately for each
+	// window, by delivery time, into Result.WindowLatency. Windows are
+	// declarative: they feed SpecKey, work on every runtime and are
+	// cached like the built-in meters.
+	LatencyWindows []LatencyWindow
 	// Faults, if set, injects the plan's faults into the run (plans are
 	// single-use). Recovery configures the watchdog/repair layer.
 	Faults   *fault.Plan
@@ -165,7 +162,7 @@ type Run struct {
 	// (deterministically) from the serial Shards == 0 engine, whose event
 	// interleaving windowing does not reproduce; sharded runs are
 	// therefore never mixed with serial runs in one comparison and never
-	// use the result cache. Observe is not supported with Shards set.
+	// use the result cache.
 	Shards int
 	// Check attaches the runtime invariant checker (internal/check): the
 	// audits verify packet conservation, flow-control bounds, SAQ/CAM
@@ -179,10 +176,13 @@ type Run struct {
 
 // Result carries everything measured during a run.
 type Result struct {
-	Policy          fabric.Policy
-	Throughput      *stats.Throughput
-	SAQ             *stats.SAQSeries
-	Latency         *stats.Latency
+	Policy     fabric.Policy
+	Throughput *stats.Throughput
+	SAQ        *stats.SAQSeries
+	Latency    *stats.Latency
+	// WindowLatency holds one latency summary per Run.LatencyWindows
+	// entry, in the same order.
+	WindowLatency   []*stats.Latency
 	Injected        uint64
 	Delivered       uint64
 	OrderViolations uint64
@@ -209,7 +209,6 @@ func (r Run) buildConfig() (fabric.Config, error) {
 	}
 	cfg := fabric.DefaultConfig(topo)
 	cfg.Policy = r.Policy
-	cfg.EagerState = r.EagerState
 	if r.PacketSize > 0 {
 		cfg.PacketSize = r.PacketSize
 	}
@@ -229,8 +228,8 @@ func (r Run) buildConfig() (fabric.Config, error) {
 }
 
 // EagerMemModel returns the analytic construction-time footprint the
-// run's configuration would have fully preallocated (EagerState forced
-// on) — the denominator of the scaling figure's lazy-vs-eager ratio.
+// run's configuration would have fully preallocated — the denominator
+// of the scaling figure's lazy-vs-eager ratio.
 func (r Run) EagerMemModel() (stats.MemReport, error) {
 	cfg, err := r.buildConfig()
 	if err != nil {
@@ -239,7 +238,6 @@ func (r Run) EagerMemModel() (stats.MemReport, error) {
 	if r.Mutate != nil {
 		r.Mutate(&cfg)
 	}
-	cfg.EagerState = true
 	return fabric.EagerMemModel(cfg), nil
 }
 
@@ -359,15 +357,12 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	if r.Shards > 0 {
-		if r.Observe != nil {
-			return nil, fmt.Errorf("experiments: Observe is not supported on sharded runs (delivery callbacks run concurrently on shard goroutines)")
-		}
 		if _, err := net.Shard(r.Shards); err != nil {
 			return nil, err
 		}
 	}
 
-	tp, err := stats.NewThroughput(r.Bin)
+	total, err := newMeters(r.Bin, r.LatencyWindows)
 	if err != nil {
 		return nil, err
 	}
@@ -376,42 +371,29 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{
-		Policy:     r.Policy,
-		Throughput: tp,
-		SAQ:        saq,
-		Latency:    stats.NewLatency(),
+		Policy:        r.Policy,
+		Throughput:    total.tp,
+		SAQ:           saq,
+		Latency:       total.lat,
+		WindowLatency: total.win,
 	}
-	var shardTP []*stats.Throughput
-	var shardLat []*stats.Latency
+	var shards []*meters
 	if k := net.ShardCount(); k > 0 {
 		// Each shard meters its own deliveries on its own goroutine;
 		// the meters merge after the run (bin addition and histogram
 		// addition commute, so the merged result is shard-invariant).
-		shardTP = make([]*stats.Throughput, k)
-		shardLat = make([]*stats.Latency, k)
-		for i := 0; i < k; i++ {
-			stp, err := stats.NewThroughput(r.Bin)
+		shards = make([]*meters, k)
+		for i := range shards {
+			m, err := newMeters(r.Bin, r.LatencyWindows)
 			if err != nil {
 				return nil, err
 			}
-			lat := stats.NewLatency()
-			shardTP[i], shardLat[i] = stp, lat
+			shards[i] = m
 			eng := net.ShardEngine(i)
-			net.SetShardOnDeliver(i, func(p *pkt.Packet) {
-				now := eng.Now()
-				stp.Add(now, p.Size)
-				lat.Add(now - p.CreatedAt)
-			})
+			net.SetShardOnDeliver(i, func(p *pkt.Packet) { m.deliver(eng.Now(), p) })
 		}
 	} else {
-		net.OnDeliver = func(p *pkt.Packet) {
-			now := net.Engine.Now()
-			res.Throughput.Add(now, p.Size)
-			res.Latency.Add(now - p.CreatedAt)
-			if r.Observe != nil {
-				r.Observe(now, p)
-			}
-		}
+		net.OnDeliver = func(p *pkt.Packet) { total.deliver(net.Engine.Now(), p) }
 	}
 	if r.Policy == fabric.PolicyRECN {
 		period := r.Bin / 4
@@ -444,11 +426,10 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 	if err := adapter.firstInjectErr(); err != nil {
 		return nil, fmt.Errorf("experiments: workload injection: %w", err)
 	}
-	for i := range shardTP {
-		if err := res.Throughput.Merge(shardTP[i]); err != nil {
+	for _, m := range shards {
+		if err := total.merge(m); err != nil {
 			return nil, err
 		}
-		res.Latency.Merge(shardLat[i])
 	}
 	res.Injected = net.InjectedPackets
 	res.Delivered = net.DeliveredPackets
@@ -461,6 +442,56 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		res.Trace = net.MergedTracer()
 	}
 	return res, nil
+}
+
+// LatencyWindow is one [From, To) span of sim time over which a run
+// meters delivery latency (see Run.LatencyWindows).
+type LatencyWindow struct {
+	From, To sim.Time
+}
+
+// meters are the delivery meters of one engine: the whole run's on a
+// serial network, one shard's on a sharded one.
+type meters struct {
+	tp   *stats.Throughput
+	lat  *stats.Latency
+	wins []LatencyWindow
+	win  []*stats.Latency // one summary per window
+}
+
+func newMeters(bin sim.Time, wins []LatencyWindow) (*meters, error) {
+	tp, err := stats.NewThroughput(bin)
+	if err != nil {
+		return nil, err
+	}
+	m := &meters{tp: tp, lat: stats.NewLatency(), wins: wins, win: make([]*stats.Latency, len(wins))}
+	for i := range m.win {
+		m.win[i] = stats.NewLatency()
+	}
+	return m, nil
+}
+
+// deliver meters one packet delivered at now.
+func (m *meters) deliver(now sim.Time, p *pkt.Packet) {
+	m.tp.Add(now, p.Size)
+	m.lat.Add(now - p.CreatedAt)
+	for i, w := range m.wins {
+		if now >= w.From && now < w.To {
+			m.win[i].Add(now - p.CreatedAt)
+		}
+	}
+}
+
+// merge folds another engine's meters (same bin, same windows) into m.
+func (m *meters) merge(o *meters) error {
+	if err := m.tp.Merge(o.tp); err != nil {
+		return err
+	}
+	m.lat.Merge(o.lat)
+	for i, l := range o.win {
+		m.win[i].Merge(l)
+	}
+	return nil
 }
 
 // simulate runs the event loop and, for checked runs, converts an

@@ -111,13 +111,9 @@ func Scaling(hosts int, o Options) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	mode := "lazy"
-	if o.EagerState {
-		mode = "eager"
-	}
 	t := &Table{
-		Title: fmt.Sprintf("Scaling: %d hosts, %s topology, %d-byte packets (%s state)",
-			hosts, o.Topo, o.PacketSize, mode),
+		Title: fmt.Sprintf("Scaling: %d hosts, %s topology, %d-byte packets (lazy state)",
+			hosts, o.Topo, o.PacketSize),
 		Header: []string{"policy", "tput_hot_B/ns", "tput_after_B/ns", "p99_lat_us",
 			"state_KB", "B/port", "eager_B/port", "lazy/eager"},
 	}

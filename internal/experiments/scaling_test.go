@@ -1,78 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/fabric"
 )
-
-// reportSansMem executes a run and returns its report as canonical
-// JSON with the memory accounting stripped: lazy and eager runs are
-// bit-identical in everything except how much state they materialize.
-func reportSansMem(t *testing.T, r Run) string {
-	t.Helper()
-	res, err := r.Execute()
-	if err != nil {
-		t.Fatalf("eager=%v topo=%q: %v", r.EagerState, r.Topo, err)
-	}
-	rep := res.Report()
-	rep.Mem = nil
-	b, err := json.Marshal(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
-
-// The central tentpole contract: lazy materialization is invisible.
-// The same checked, fully drained hotspot run — on the MIN and on the
-// fat tree, under the policy with the most lazy state (VOQnet) and
-// under RECN (lazy CAM controllers) — must report bit-identically with
-// EagerState on and off.
-func TestLazyEagerRunBitIdentity(t *testing.T) {
-	workload, until, err := CornerWorkload(2, 64, 64, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, topo := range []string{"", "fattree"} {
-		for _, p := range []fabric.Policy{fabric.PolicyVOQnet, fabric.PolicyRECN} {
-			r := Run{
-				Hosts: 64, Policy: p, Topo: topo, Key: "lazy-eager-identity",
-				Workload: workload, Until: until, DrainAll: true, Check: true,
-			}
-			lazy := reportSansMem(t, r)
-			r.EagerState = true
-			eager := reportSansMem(t, r)
-			if lazy != eager {
-				t.Errorf("topo=%q policy=%s: lazy and eager reports differ", topo, p)
-			}
-		}
-	}
-}
-
-// Rendered-figure form of the same contract: a real figure pipeline
-// (sweep, binning, table formatting) emits identical bytes either way.
-func TestLazyEagerFigureBitIdentity(t *testing.T) {
-	o := Options{
-		Scale:    0.02,
-		Policies: []fabric.Policy{fabric.PolicyVOQnet, fabric.PolicyRECN},
-	}
-	figLazy, err := Fig2(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	o.EagerState = true
-	figEager, err := Fig2(1, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if figLazy.Table().String() != figEager.Table().String() {
-		t.Error("fig2 rendered bytes differ between lazy and eager state")
-	}
-}
 
 // The fat-tree hotspot must drain to empty under the full invariant
 // checker (deadlock/livelock detection included) for every policy the

@@ -13,12 +13,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
-	"repro/internal/sim"
 )
 
 // shardReport executes one sharded run and returns its report as
@@ -153,20 +150,38 @@ func TestShardRunDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardRejectsObserve: per-packet observation callbacks would run
-// concurrently on shard goroutines; the run must refuse up front.
-func TestShardRejectsObserve(t *testing.T) {
+// TestShardLatencyWindows: latency windows are metered per shard and
+// merged after the run, so the window summaries — like every other
+// meter — are identical at every shard count, and windows that tile the
+// horizon account for exactly the deliveries the whole-run summary saw.
+func TestShardLatencyWindows(t *testing.T) {
 	workload, until, err := CornerWorkload(1, 64, 64, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Run{
-		Hosts: 64, Policy: fabric.PolicyRECN,
-		Workload: workload, Until: until, Shards: 2,
-		Observe: func(_ sim.Time, _ *pkt.Packet) {},
-	}
-	if _, err := r.Execute(); err == nil || !strings.Contains(err.Error(), "Observe") {
-		t.Fatalf("want Observe rejection, got %v", err)
+	base := ""
+	for _, k := range []int{1, 2, 4} {
+		r := Run{
+			Hosts: 64, Policy: fabric.PolicyRECN, Key: "shard-latency-windows",
+			Workload: workload, Until: until, Shards: k,
+			LatencyWindows: []LatencyWindow{{0, until / 2}, {until / 2, until + 1}},
+		}
+		res, err := r.Execute()
+		if err != nil {
+			t.Fatalf("shards=%d: %v", k, err)
+		}
+		if len(res.WindowLatency) != 2 {
+			t.Fatalf("shards=%d: %d window summaries, want 2", k, len(res.WindowLatency))
+		}
+		if got, want := res.WindowLatency[0].Count()+res.WindowLatency[1].Count(), res.Latency.Count(); got != want || want == 0 {
+			t.Errorf("shards=%d: windows saw %d deliveries, the run %d", k, got, want)
+		}
+		rep := shardReport(t, r)
+		if base == "" {
+			base = rep
+		} else if rep != base {
+			t.Errorf("shards=%d report differs from shards=1", k)
+		}
 	}
 }
 

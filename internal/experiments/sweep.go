@@ -48,14 +48,14 @@ func (r Run) SpecKey() string {
 	if r.ARNSpec != "" {
 		k += "|arn=" + r.ARNSpec
 	}
-	// Topology and eager-state markers follow the same append-only rule:
-	// the default ("" = MIN, lazy) leaves every pre-existing key — and
-	// with it every cache entry and derived seed — byte-identical.
+	// Topology and latency windows follow the same append-only rule:
+	// the defaults (the MIN, no windows) leave every pre-existing key —
+	// and with it every cache entry and derived seed — byte-identical.
 	if r.Topo != "" {
 		k += "|topo=" + r.Topo
 	}
-	if r.EagerState {
-		k += "|eager=true"
+	for _, w := range r.LatencyWindows {
+		k += fmt.Sprintf("|latwin=%d-%d", int64(w.From), int64(w.To))
 	}
 	return k
 }
@@ -78,15 +78,15 @@ func (r Run) DerivedSeed() int64 {
 
 // cacheable reports whether the run's result may be stored in and
 // loaded from the result cache. Runs carrying live objects that cannot
-// be replayed from the spec — an Observe callback, a flight recorder,
-// a pre-built (single-use) fault plan — or closures not named by Key
-// must always simulate. Checked runs also always simulate: serving a
+// be replayed from the spec — a flight recorder, a pre-built
+// (single-use) fault plan — or closures not named by Key must always
+// simulate. Checked runs also always simulate: serving a
 // cached result would silently skip the invariant audits the caller
 // asked for (Check is deliberately absent from SpecKey — audits don't
 // change results, so a checked run may still *store* nothing but must
 // never shadow an unchecked entry either way).
 func (r Run) cacheable() bool {
-	if r.Observe != nil || r.Trace != nil || r.Faults != nil || r.Check {
+	if r.Trace != nil || r.Faults != nil || r.Check {
 		return false
 	}
 	// Sharded runs never touch the cache: their results differ from the
@@ -327,6 +327,9 @@ func (res *Result) Report() stats.Report {
 		OrderViolations: res.OrderViolations,
 		Events:          res.Events,
 	}
+	for _, l := range res.WindowLatency {
+		rep.WindowLatency = append(rep.WindowLatency, l.Dump())
+	}
 	if res.Faults != nil {
 		f := *res.Faults
 		rep.Faults = &f
@@ -357,6 +360,9 @@ func ResultFromReport(policy fabric.Policy, rep stats.Report) (*Result, error) {
 		Delivered:       rep.Delivered,
 		OrderViolations: rep.OrderViolations,
 		Events:          rep.Events,
+	}
+	for _, d := range rep.WindowLatency {
+		res.WindowLatency = append(res.WindowLatency, d.Restore())
 	}
 	if rep.Faults != nil {
 		f := *rep.Faults

@@ -9,9 +9,9 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
-	"repro/internal/pkt"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/trace"
 	"repro/internal/traffic"
 )
 
@@ -227,6 +227,9 @@ func TestCacheMissesOnSpecChange(t *testing.T) {
 		"drain":       func(r *Run) { r.DrainAll = true },
 		"fault plan":  func(r *Run) { r.FaultSpec = "seed=9,droprate=token:0.1" },
 		"recovery":    func(r *Run) { r.Recovery.Enabled = true },
+		"latency windows": func(r *Run) {
+			r.LatencyWindows = []LatencyWindow{{0, r.Until / 2}}
+		},
 		"mutate (ablation key)": func(r *Run) {
 			r.Key = "corner2|saqs=1"
 			r.Mutate = func(cfg *fabric.Config) { cfg.RECN.MaxSAQs = 1 }
@@ -243,8 +246,8 @@ func TestCacheMissesOnSpecChange(t *testing.T) {
 	}
 }
 
-// Uncacheable runs — live fault plans, Observe callbacks, tracing,
-// closures with no Key — are never stored or served.
+// Uncacheable runs — live fault plans, tracing, closures with no Key —
+// are never stored or served.
 func TestCacheSkipsUncacheableRuns(t *testing.T) {
 	dir := t.TempDir()
 	cache, err := OpenRunCache(dir)
@@ -257,8 +260,8 @@ func TestCacheSkipsUncacheableRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, mutate := range map[string]func(*Run){
-		"no key":  func(r *Run) { r.Key = "" },
-		"observe": func(r *Run) { r.Observe = func(sim.Time, *pkt.Packet) {} },
+		"no key": func(r *Run) { r.Key = "" },
+		"trace":  func(r *Run) { r.Trace = &trace.Config{BufferEvents: 64} },
 	} {
 		q := base
 		mutate(&q)

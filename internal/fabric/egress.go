@@ -78,10 +78,10 @@ func (u *egressUnit) init(net *Network, sw *Switch, port int, terminal bool, rc 
 		return err
 	}
 	nq, qcap := egressQueuePlan(cfg)
-	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet && !cfg.EagerState)
-	u.active.init(nq, !cfg.EagerState)
+	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet)
+	u.active.init(nq, true)
 	if cfg.Policy == PolicyRECN {
-		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), terminal, u, cfg.EagerState); err != nil {
+		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), terminal, u); err != nil {
 			return err
 		}
 		u.rc = rc
@@ -129,7 +129,7 @@ func (u *egressUnit) attach(sink linkSink, remoteHost bool) {
 		case PolicyVOQnet:
 			hosts := cfg.Topo.NumHosts()
 			u.initQueue = cfg.PortMemory / hosts
-			u.queueCredits.init(hosts, u.initQueue, !cfg.EagerState)
+			u.queueCredits.init(hosts, u.initQueue, true)
 		}
 	}
 }

@@ -57,10 +57,10 @@ func (u *ingressUnit) init(net *Network, sw *Switch, port int, rc *recn.Ingress)
 	}
 	u.arbitFn = u.arbit
 	nq, qcap := ingressQueuePlan(cfg)
-	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet && !cfg.EagerState)
-	u.active.init(nq, !cfg.EagerState)
+	u.qs.init(&u.pool, nq, qcap, cfg.Policy == PolicyVOQnet)
+	u.active.init(nq, true)
 	if cfg.Policy == PolicyRECN {
-		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), u, cfg.EagerState); err != nil {
+		if err := rc.Init(cfg.RECN, port, &u.pool, u.qs.denseSlice(), u); err != nil {
 			return err
 		}
 		u.rc = rc

@@ -11,8 +11,8 @@ import "repro/internal/mempool"
 // dense layout for the small per-port arrays (1Q/4Q/VOQsw/RECN classes)
 // and switch to demand-paged storage for the O(hosts) VOQnet arrays:
 // nothing is allocated until a destination is first touched, and an
-// untouched entry behaves exactly like a freshly built empty one, so
-// lazy and eager runs are bit-identical (the golden tests assert it).
+// untouched entry behaves exactly like a freshly built empty one (the
+// *LazyMatchesDense tests hold each container to its dense layout).
 //
 // Pages are visited in index order, so iteration over materialized
 // entries is a strict subsequence of the dense iteration — never a

@@ -52,11 +52,10 @@ func (r *memAcc) finish() stats.MemReport {
 
 // MemStats walks every port unit and reports the control state the run
 // has materialized so far (plus the data-RAM residency high-water
-// marks). Under lazy materialization — the default — untouched
-// destinations, credit pages and never-congested RECN controllers
-// contribute nothing, so the same topology under the same policy can
-// answer very differently depending on the traffic; the scaling figure
-// is exactly that comparison. Deterministic: counts derive from which
+// marks). Untouched destinations, credit pages and never-congested
+// RECN controllers contribute nothing, so the same topology under the
+// same policy can answer very differently depending on the traffic; the
+// scaling figure is exactly that comparison. Deterministic: counts derive from which
 // state was touched, which is identical across shard counts.
 func (n *Network) MemStats() stats.MemReport {
 	var r memAcc
@@ -107,12 +106,12 @@ func (n *Network) MemStats() stats.MemReport {
 }
 
 // EagerMemModel computes the construction-time control-state footprint
-// the same configuration would have with EagerState set: every queue
-// descriptor, credit counter, destination record and RECN controller
-// fully preallocated (ring slots still grow on demand in both modes, so
-// they are zero here). This is the denominator of the scaling figure's
-// "lazy vs eager" ratio — analytic, so the 4k-host eager fabric never
-// has to be built to be compared against.
+// the same configuration would have if every queue descriptor, credit
+// counter, destination record and RECN controller were fully
+// preallocated (ring slots grow on demand either way, so they are zero
+// here). This is the denominator of the scaling figure's "lazy vs
+// eager" ratio — analytic, so no eager fabric is ever built to be
+// compared against.
 func EagerMemModel(cfg Config) stats.MemReport {
 	var r memAcc
 	topo := cfg.Topo

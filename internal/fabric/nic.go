@@ -197,8 +197,8 @@ func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) e
 	nic.host = host
 	nic.attachSw = sw
 	nic.attachPort = port
-	nic.dests.init(hosts, !net.cfg.EagerState)
-	nic.active.init(hosts, !net.cfg.EagerState)
+	nic.dests.init(hosts, true)
+	nic.active.init(hosts, true)
 	nic.seq = make(map[uint32]uint64)
 	nic.runPumpFn = nic.runPump
 	if err := inj.init(net, nil, 0, true, rc); err != nil {
@@ -208,9 +208,6 @@ func (nic *NIC) init(net *Network, host int, inj *egressUnit, rc *recn.Egress) e
 	inj.nic = nic
 	if net.cfg.Policy == PolicyThrottle {
 		nic.thr = &nicThrottle{state: throttle.NewState()}
-		if net.cfg.EagerState {
-			nic.thr.lastCNPAt = make([]sim.Time, hosts)
-		}
 		nic.onCNPFn = nic.onCNP
 		nic.aiTickFn = nic.aiTick
 		nic.paceFn = nic.paceFire

@@ -165,7 +165,9 @@ func (p *Plan) Validate() error {
 			return fmt.Errorf("fault: rule for unknown kind %d", int(k))
 		}
 		for _, prob := range []float64{r.DropProb, r.DupProb, r.DelayProb} {
-			if prob < 0 || prob > 1 {
+			// Written so NaN, for which every comparison is false,
+			// fails it too.
+			if !(prob >= 0 && prob <= 1) {
 				return fmt.Errorf("fault: %v probability %v outside [0, 1]", k, prob)
 			}
 		}

@@ -176,11 +176,74 @@ func TestParsePlanErrors(t *testing.T) {
 		"flap=1:2:400us:100us",
 		"delayrate=credit:0.5",
 		"seed",
+		// NaN compares false against every bound; Inf is out of range.
+		"droprate=credit:NaN",
+		"duprate=token:nan",
+		"delayrate=xoff:NaN:5us",
+		"droprate=token:+Inf",
+		// 2^63-1 µs overflows the picosecond clock.
+		"flap=0:0:1us:9223372036854775807us",
+		"flaphost=0:0us:1e300ms",
 	} {
 		if _, err := ParsePlan(spec); err == nil {
 			t.Errorf("ParsePlan(%q) succeeded, want error", spec)
 		}
 	}
+}
+
+// An overflowing flap bound is reported as the duration it is, not as
+// the wrapped (negative, hence "not ordered") window it used to become.
+func TestParsePlanNamesOverflowingDuration(t *testing.T) {
+	_, err := ParsePlan("flap=0:0:1us:9223372036854775807us")
+	if err == nil || !strings.Contains(err.Error(), "9223372036854775807") || strings.Contains(err.Error(), "not ordered") {
+		t.Errorf("error %v does not name the overflowing duration", err)
+	}
+}
+
+// The documented specs, plus inputs that once slipped through, seed the
+// fuzzer.
+var parsePlanSeeds = []string{
+	"seed=7,drop=token:3,droprate=xoff:0.01,flap=0:2:100us:400us",
+	"seed=7, drop=token:3, droprate=xoff:0.25, delayrate=credit:0.5:2us, corrupt=100, flap=1:2:100us:400us, flaphost=5:10us:20us",
+	"seed=1,drop=token:4,droprate=credit:0.01,flap=0:4:100us:140us",
+	"seed=auto,droprate=token:0.1",
+	"droprate=credit:NaN",
+	"duprate=token:nan",
+	"delayrate=xoff:NaN:5us",
+	"flap=0:0:1us:9223372036854775807us",
+}
+
+// FuzzParsePlan: parsing never panics, and every plan it accepts is one
+// the fabric can run — it passes Validate, its probabilities lie in
+// [0, 1], its delays are non-negative and its flap windows are ordered.
+func FuzzParsePlan(f *testing.F) {
+	for _, s := range parsePlanSeeds {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParsePlan(spec)
+		if err != nil {
+			return
+		}
+		if err := p.Validate(); err != nil {
+			t.Fatalf("ParsePlan(%q) accepted a plan Validate rejects: %v", spec, err)
+		}
+		for k, r := range p.Rules {
+			for _, prob := range []float64{r.DropProb, r.DupProb, r.DelayProb} {
+				if !(prob >= 0 && prob <= 1) {
+					t.Fatalf("ParsePlan(%q): %v probability %v outside [0, 1]", spec, k, prob)
+				}
+			}
+			if r.Delay < 0 {
+				t.Fatalf("ParsePlan(%q): %v negative delay %v", spec, k, r.Delay)
+			}
+		}
+		for i, fl := range p.Flaps {
+			if fl.Down < 0 || fl.Up <= fl.Down {
+				t.Fatalf("ParsePlan(%q): flap %d window [%v, %v] not ordered", spec, i, fl.Down, fl.Up)
+			}
+		}
+	})
 }
 
 func TestRecoveryDefaults(t *testing.T) {
@@ -214,7 +277,7 @@ func TestParseTime(t *testing.T) {
 			t.Errorf("ParseTime(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
 		}
 	}
-	for _, bad := range []string{"", "5", "5s", "abcus"} {
+	for _, bad := range []string{"", "5", "5s", "abcus", "9223372036854775807us", "9223372036854775808ps", "1e300ms"} {
 		if _, err := sim.ParseTime(bad); err == nil {
 			t.Errorf("ParseTime(%q) succeeded, want error", bad)
 		}

@@ -425,9 +425,6 @@ func validate(spec SweepRequest) error {
 		if !experiments.KnownFigure(id) {
 			return fmt.Errorf("figures: unknown %q (have %s)", id, strings.Join(experiments.FigureIDs(), ", "))
 		}
-		if spec.Shards > 0 && strings.HasPrefix(strings.ToLower(id), "lat") {
-			return fmt.Errorf("figures: %s needs the serial per-packet Observe path and cannot run with shards=%d", id, spec.Shards)
-		}
 	}
 	for _, name := range spec.Policies {
 		if _, err := fabric.ParsePolicy(name); err != nil {

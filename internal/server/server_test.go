@@ -197,7 +197,6 @@ func TestAdmissionBadRequests(t *testing.T) {
 		{"empty figures", `{"figures":[]}`},
 		{"unknown figure", `{"figures":["9z"]}`},
 		{"unknown field", `{"figs":["2a"]}`},
-		{"shards with latency figure", `{"figures":["lat1"],"shards":2}`},
 		{"bad policy", `{"figures":["2a"],"policies":["QQQ"]}`},
 		{"negative scale", `{"figures":["2a"],"scale":-1}`},
 		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`},
@@ -215,6 +214,21 @@ func TestAdmissionBadRequests(t *testing.T) {
 	}
 	if len(stub.ran()) != 0 {
 		t.Error("a rejected job executed")
+	}
+}
+
+// The latency figures run on the sharded runtime like every other
+// figure, so a sharded latency sweep is admitted and executed.
+func TestAdmissionAcceptsShardedLatencyFigure(t *testing.T) {
+	stub := newStubRunner()
+	_, ts := newTestServer(t, Config{reproduce: stub.run})
+	code, body := submit(t, ts, `{"figures":["lat1"],"shards":2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("got %d %v, want 202", code, body)
+	}
+	waitState(t, ts, body["id"].(string), "done")
+	if got := stub.ran(); len(got) != 1 || got[0] != "lat1" {
+		t.Errorf("ran %v, want [lat1]", got)
 	}
 }
 

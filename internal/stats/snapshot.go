@@ -171,6 +171,9 @@ type Report struct {
 	Throughput ThroughputDump
 	SAQ        SAQDump
 	Latency    LatencyDump
+	// WindowLatency is one latency summary per metered delivery window
+	// (empty, and absent from the JSON, when the run had none).
+	WindowLatency []LatencyDump `json:",omitempty"`
 
 	Injected        uint64
 	Delivered       uint64
@@ -187,10 +190,17 @@ type Report struct {
 }
 
 // Merge folds another report into this one: series merge bin-wise,
-// counters add, fault accounting adds field-wise.
+// counters add, fault accounting adds field-wise, latency windows merge
+// index-wise (an empty report adopts the other's windows).
 func (r *Report) Merge(o *Report) error {
 	if o == nil {
 		return nil
+	}
+	if len(r.WindowLatency) == 0 && len(o.WindowLatency) > 0 {
+		r.WindowLatency = make([]LatencyDump, len(o.WindowLatency))
+	}
+	if len(r.WindowLatency) != len(o.WindowLatency) {
+		return fmt.Errorf("stats: merging %d latency windows into %d", len(o.WindowLatency), len(r.WindowLatency))
 	}
 	tp, err := r.Throughput.Restore()
 	if err != nil {
@@ -221,6 +231,12 @@ func (r *Report) Merge(o *Report) error {
 	lat := r.Latency.Restore()
 	lat.Merge(o.Latency.Restore())
 	r.Latency = lat.Dump()
+
+	for i := range r.WindowLatency {
+		w := r.WindowLatency[i].Restore()
+		w.Merge(o.WindowLatency[i].Restore())
+		r.WindowLatency[i] = w.Dump()
+	}
 
 	r.Injected += o.Injected
 	r.Delivered += o.Delivered

@@ -3,6 +3,7 @@ package stats
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -190,6 +191,46 @@ func TestReportMerge(t *testing.T) {
 	}
 	if err := a.Merge(nil); err != nil {
 		t.Errorf("nil merge: %v", err)
+	}
+}
+
+// Latency windows merge index-wise; an empty report adopts the other's
+// windows, a report with a different window count is refused, and a
+// report without windows serializes without the field.
+func TestReportMergeWindows(t *testing.T) {
+	rep := func(ds ...sim.Time) *Report {
+		tp, _ := NewThroughput(sim.Microsecond)
+		saq, _ := NewSAQSeries(sim.Microsecond)
+		r := &Report{Throughput: tp.Dump(), SAQ: saq.Dump()}
+		for _, d := range ds {
+			l := NewLatency()
+			l.Add(d)
+			r.WindowLatency = append(r.WindowLatency, l.Dump())
+		}
+		return r
+	}
+	a := rep()
+	if err := a.Merge(rep(10, 20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Merge(rep(30, 40)); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []sim.Time{30, 40} {
+		l := a.WindowLatency[i].Restore()
+		if l.Count() != 2 || l.Max() != want {
+			t.Errorf("window %d: count %d max %v, want 2 and %v", i, l.Count(), l.Max(), want)
+		}
+	}
+	if err := a.Merge(rep(1)); err == nil {
+		t.Error("merging a report with a different window count succeeded")
+	}
+	b, err := json.Marshal(rep())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(b), "WindowLatency") {
+		t.Errorf("report without windows serializes the field: %s", b)
 	}
 }
 
