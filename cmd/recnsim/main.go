@@ -76,6 +76,12 @@ func main() {
 	if *fig != "" && !repro.KnownFigure(*fig) {
 		fatal(fmt.Errorf("-fig %q: unknown figure (valid: %s)", *fig, strings.Join(repro.FigureIDs(), ", ")))
 	}
+	if err := repro.ValidScale(*scale); err != nil {
+		fatal(fmt.Errorf("-scale: %w", err))
+	}
+	if *format != "text" && *format != "csv" {
+		fatal(fmt.Errorf("-format %q: want text or csv", *format))
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {

@@ -41,18 +41,18 @@ import (
 
 func main() {
 	var (
-		sweep   = flag.String("sweep", "saqs", "sweep to run: saqs, threshold, boost, markers, all, list, or any figure ID (2a, lat1, ...)")
-		counts  = flag.String("counts", "", "comma-separated SAQ counts (saqs sweep)")
-		kb      = flag.String("kb", "", "comma-separated detection thresholds in KB (threshold sweep)")
-		scale   = flag.Float64("scale", 0.25, "time scale (1.0 = paper durations)")
-		j       = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (≥ 1)")
-		shards  = flag.Int("shards", 0, "shard each simulation across this many cores (windowed runtime; sharded runs bypass the cache; 0 = serial)")
-		cache   = flag.String("cache", "", "run-result cache directory (created if missing)")
-		noCache = flag.Bool("no-cache", false, "bypass the run-result cache")
-		chk     = flag.Bool("check", false, "enable the runtime invariant checker on every run (checked runs bypass the cache)")
-		thrSpec = flag.String("throttle", "", "throttle policy tunables, e.g. 'mark=16384,min=100' (defaults apply to omitted keys)")
-		arnSpec = flag.String("arn", "", "arn policy tunables, e.g. 'on=16384,off=4096'")
-		topo    = flag.String("topo", "", "network topology where the figure allows it: min, fattree, mesh (default per figure; 'list' prints the names and exits)")
+		sweep      = flag.String("sweep", "saqs", "sweep to run: saqs, threshold, boost, markers, all, list, or any figure ID (2a, lat1, ...)")
+		countsFlag = flag.String("counts", "", "comma-separated SAQ counts (saqs sweep)")
+		kbFlag     = flag.String("kb", "", "comma-separated detection thresholds in KB (threshold sweep)")
+		scale      = flag.Float64("scale", 0.25, "time scale (1.0 = paper durations)")
+		j          = flag.Int("j", runtime.GOMAXPROCS(0), "parallel simulation workers (≥ 1)")
+		shards     = flag.Int("shards", 0, "shard each simulation across this many cores (windowed runtime; sharded runs bypass the cache; 0 = serial)")
+		cache      = flag.String("cache", "", "run-result cache directory (created if missing)")
+		noCache    = flag.Bool("no-cache", false, "bypass the run-result cache")
+		chk        = flag.Bool("check", false, "enable the runtime invariant checker on every run (checked runs bypass the cache)")
+		thrSpec    = flag.String("throttle", "", "throttle policy tunables, e.g. 'mark=16384,min=100' (defaults apply to omitted keys)")
+		arnSpec    = flag.String("arn", "", "arn policy tunables, e.g. 'on=16384,off=4096'")
+		topo       = flag.String("topo", "", "network topology where the figure allows it: min, fattree, mesh (default per figure; 'list' prints the names and exits)")
 
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file (pprof format)")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit (pprof format)")
@@ -66,8 +66,13 @@ func main() {
 		fmt.Println(strings.ReplaceAll(repro.TopologyNames(), ", ", "\n"))
 		return
 	}
-	// All flag validation happens before any simulation starts.
-	if err := validateFlags(*j, *shards, *cache, *topo); err != nil {
+	// All flag validation happens before profiling or any simulation
+	// starts.
+	counts, kb, err := validateFlags(sweepFlags{
+		sweep: *sweep, counts: *countsFlag, kb: *kbFlag, scale: *scale,
+		j: *j, shards: *shards, cacheDir: *cache, topo: *topo,
+	})
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "recnsweep: %v\n", err)
 		os.Exit(2)
 	}
@@ -103,17 +108,7 @@ func main() {
 		}
 	}
 
-	var id string
-	switch *sweep {
-	case "saqs":
-		id = "a1"
-	case "threshold":
-		id = "a2"
-	case "boost":
-		id = "a3"
-	case "markers":
-		id = "a4"
-	case "all", "figures":
+	if *sweep == "all" || *sweep == "figures" {
 		for _, fid := range repro.FigureIDs() {
 			tables, err := repro.Reproduce(fid, o)
 			if err != nil {
@@ -122,28 +117,20 @@ func main() {
 			printTables(tables)
 		}
 		return
-	default:
-		// Any figure ID runs directly: `recnsweep -sweep 2a` produces
-		// the same bytes the daemon's results endpoint serves for a
-		// {"figures":["2a"]} submission.
-		if !repro.KnownFigure(*sweep) {
-			fmt.Fprintf(os.Stderr, "recnsweep: unknown sweep %q (want saqs, threshold, boost, markers, all, list, or a figure ID: %s)\n",
-				*sweep, strings.Join(repro.FigureIDs(), ", "))
-			os.Exit(2)
-		}
-		id = *sweep
 	}
 
 	// Custom sweep values go through the experiment package's
-	// list-taking entry points.
+	// list-taking entry points. Any figure ID runs directly:
+	// `recnsweep -sweep 2a` produces the same bytes the daemon's
+	// results endpoint serves for a {"figures":["2a"]} submission.
 	var tables []*repro.Table
 	switch {
-	case id == "a1" && *counts != "":
-		tables, err = repro.SweepSAQs(o, parseInts(*counts, 1))
-	case id == "a2" && *kb != "":
-		tables, err = repro.SweepThresholds(o, parseInts(*kb, 1024))
+	case counts != nil:
+		tables, err = repro.SweepSAQs(o, counts)
+	case kb != nil:
+		tables, err = repro.SweepThresholds(o, kb)
 	default:
-		tables, err = repro.Reproduce(id, o)
+		tables, err = repro.Reproduce(sweepFigure(*sweep), o)
 	}
 	if err != nil {
 		fail("", err)
@@ -161,40 +148,91 @@ func fail(prefix string, err error) {
 	os.Exit(1)
 }
 
-// validateFlags rejects a bad worker count, shard count, topology
-// name or an unusable cache directory up front, naming the offending
-// flag; nothing simulates until all pass.
-func validateFlags(j, shards int, cacheDir, topo string) error {
-	if j < 1 {
-		return fmt.Errorf("-j %d: want at least 1 worker", j)
+// sweepFigure maps the named knob sweeps to their ablation figure IDs;
+// any other sweep name is already a figure ID.
+func sweepFigure(sweep string) string {
+	switch sweep {
+	case "saqs":
+		return "a1"
+	case "threshold":
+		return "a2"
+	case "boost":
+		return "a3"
+	case "markers":
+		return "a4"
 	}
-	if !repro.ValidTopology(topo) {
-		return fmt.Errorf("-topo %q: unknown topology (valid: %s; -topo list prints them)", topo, repro.TopologyNames())
+	return sweep
+}
+
+// sweepFlags are the command-line values validateFlags checks.
+type sweepFlags struct {
+	sweep, counts, kb string
+	scale             float64
+	j, shards         int
+	cacheDir, topo    string
+}
+
+// validateFlags rejects an unknown sweep, a bad worker count, shard
+// count, scale or topology name, a -counts/-kb list that is malformed
+// or given to a sweep that ignores it, and an unusable cache
+// directory, naming the offending flag; nothing profiles or simulates
+// until all pass. It returns the parsed -counts and -kb values (nil
+// when unset), -kb already in bytes.
+func validateFlags(f sweepFlags) (counts, kb []int, err error) {
+	id := sweepFigure(f.sweep)
+	if id != "all" && id != "figures" && !repro.KnownFigure(id) {
+		return nil, nil, fmt.Errorf("-sweep %q: unknown sweep (want saqs, threshold, boost, markers, all, list, or a figure ID: %s)",
+			f.sweep, strings.Join(repro.FigureIDs(), ", "))
 	}
-	if shards < 0 {
-		return fmt.Errorf("-shards %d: want 0 (serial) or a positive shard count", shards)
+	if f.j < 1 {
+		return nil, nil, fmt.Errorf("-j %d: want at least 1 worker", f.j)
 	}
-	if cacheDir != "" {
-		if _, err := repro.OpenRunCache(cacheDir); err != nil {
-			return fmt.Errorf("-cache: %w", err)
+	if !repro.ValidTopology(f.topo) {
+		return nil, nil, fmt.Errorf("-topo %q: unknown topology (valid: %s; -topo list prints them)", f.topo, repro.TopologyNames())
+	}
+	if f.shards < 0 {
+		return nil, nil, fmt.Errorf("-shards %d: want 0 (serial) or a positive shard count", f.shards)
+	}
+	if err := repro.ValidScale(f.scale); err != nil {
+		return nil, nil, fmt.Errorf("-scale: %w", err)
+	}
+	if f.counts != "" && id != "a1" {
+		return nil, nil, errors.New("-counts: only -sweep saqs (or a1) takes it")
+	}
+	if f.kb != "" && id != "a2" {
+		return nil, nil, errors.New("-kb: only -sweep threshold (or a2) takes it")
+	}
+	if counts, err = parseInts("-counts", f.counts, 1); err != nil {
+		return nil, nil, err
+	}
+	if kb, err = parseInts("-kb", f.kb, 1024); err != nil {
+		return nil, nil, err
+	}
+	if f.cacheDir != "" {
+		if _, err := repro.OpenRunCache(f.cacheDir); err != nil {
+			return nil, nil, fmt.Errorf("-cache: %w", err)
 		}
 	}
-	return nil
+	return counts, kb, nil
 }
 
 func printTables(tables []*repro.Table) {
 	repro.FprintTables(os.Stdout, tables)
 }
 
-func parseInts(s string, mult int) []int {
+// parseInts parses one flag's comma-separated list of positive
+// integers, each multiplied by mult; an empty value yields nil.
+func parseInts(flagName, s string, mult int) ([]int, error) {
+	if s == "" {
+		return nil, nil
+	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "recnsweep: bad value %q\n", part)
-			os.Exit(2)
+			return nil, fmt.Errorf("%s: bad value %q (want positive integers)", flagName, part)
 		}
 		out = append(out, v*mult)
 	}
-	return out
+	return out, nil
 }

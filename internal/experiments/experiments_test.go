@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -38,6 +39,25 @@ func TestRunValidation(t *testing.T) {
 	}
 	if _, err := (Run{Hosts: 63, Policy: fabric.PolicyRECN, Until: sim.Microsecond}).Execute(); err == nil {
 		t.Error("Run with bad host count accepted")
+	}
+}
+
+func TestValidScale(t *testing.T) {
+	for _, tc := range []struct {
+		scale float64
+		ok    bool
+	}{
+		{0, true}, {0.02, true}, {1, true}, {1e6, true},
+		{-1, false}, {-1e-9, false}, {math.NaN(), false},
+		{math.Inf(1), false}, {math.Inf(-1), false}, {1e30, false},
+	} {
+		if err := ValidScale(tc.scale); (err == nil) != tc.ok {
+			t.Errorf("ValidScale(%g) = %v, want ok=%v", tc.scale, err, tc.ok)
+		}
+	}
+	// The largest accepted scale keeps the longest horizon in range.
+	if err := ValidScale(float64(math.MaxInt64) / float64(paperHorizon) * 0.99); err != nil {
+		t.Errorf("scale just under the overflow bound rejected: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/check"
@@ -278,6 +279,26 @@ func ValidTopology(name string) bool {
 		return true
 	}
 	return false
+}
+
+// paperHorizon is the longest simulated span of any experiment at
+// Scale 1: the corner cases and the shoot-out run to 1600 µs.
+const paperHorizon = 1600 * sim.Microsecond
+
+// ValidScale rejects an Options.Scale no run can use: NaN, ±Inf, a
+// negative value, or one that stretches the longest horizon past the
+// largest sim.Time. 0 selects the default (1.0). CLIs and the sweep
+// daemon use it to reject a scale before any simulation starts.
+func ValidScale(scale float64) error {
+	switch {
+	case math.IsNaN(scale) || math.IsInf(scale, 0):
+		return fmt.Errorf("not a finite number (%g)", scale)
+	case scale < 0:
+		return fmt.Errorf("negative (%g)", scale)
+	case scale*float64(paperHorizon) >= math.MaxInt64:
+		return fmt.Errorf("too large (%g): the %v horizon overflows the simulated clock", scale, paperHorizon)
+	}
+	return nil
 }
 
 // Execute builds the network, installs the workload and simulates.

@@ -13,8 +13,9 @@ import (
 // the materialized control-state footprint and its ratio to the fully
 // preallocated (eager) model. The memory columns come from the
 // deterministic byte model (fabric.MemStats / EagerMemModel), so the
-// table is bit-identical at any shard count; real process RSS is the
-// benchmark harness's job (BENCH_PR11.json), not the figure's.
+// table is bit-identical at any shard count; real process RSS is
+// measured outside the figure (the root package's 4096-host footprint
+// test and the recnbench harness).
 
 // scalingPolicies is the comparison set: the paper's best case
 // (VOQnet), worst case (1Q), the practical middle (VOQsw) and RECN.

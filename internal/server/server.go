@@ -437,8 +437,8 @@ func validate(spec SweepRequest) error {
 	if !experiments.ValidTopology(spec.Topo) {
 		return fmt.Errorf("topo: unknown %q (valid: %s)", spec.Topo, experiments.TopologyNames())
 	}
-	if spec.Scale < 0 {
-		return fmt.Errorf("scale: negative (%g)", spec.Scale)
+	if err := experiments.ValidScale(spec.Scale); err != nil {
+		return fmt.Errorf("scale: %w", err)
 	}
 	if spec.Shards < 0 {
 		return fmt.Errorf("shards: negative (%d)", spec.Shards)

@@ -199,6 +199,7 @@ func TestAdmissionBadRequests(t *testing.T) {
 		{"unknown field", `{"figs":["2a"]}`},
 		{"bad policy", `{"figures":["2a"],"policies":["QQQ"]}`},
 		{"negative scale", `{"figures":["2a"],"scale":-1}`},
+		{"overflowing scale", `{"figures":["2a"],"scale":1e30}`},
 		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`},
 		{"throttle rate out of range", `{"figures":["shootout"],"throttle_spec":"min=2000"}`},
 		{"arn inverted hysteresis", `{"figures":["shootout"],"arn_spec":"on=1024,off=4096"}`},

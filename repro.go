@@ -314,6 +314,10 @@ func TopologyNames() string { return experiments.TopologyNames() }
 // count constraints aside); CLIs use it to reject -topo up front.
 func ValidTopology(name string) bool { return experiments.ValidTopology(name) }
 
+// ValidScale rejects an Options.Scale no run can use (NaN, ±Inf,
+// negative, or overflowing the simulated clock); 0 is the default.
+func ValidScale(scale float64) error { return experiments.ValidScale(scale) }
+
 // NewMesh builds a cols×rows 2D mesh (one host per switch, XY routing).
 // The paper notes RECN works on direct networks too; the same fabric
 // and controllers run unchanged on a mesh.
