@@ -73,7 +73,8 @@ scale-smoke:
 
 # The windowed runtime's bit-identity matrix under the race detector:
 # shard validation, report/figure identity across shard counts, and the
-# sharded chaos soak (live fault injection on shard goroutines).
+# sharded chaos soak (live fault injection on shard goroutines; every
+# generated plan runs, scripted drops included).
 shard-matrix:
 	$(GO) test -race -v -run 'TestShard|TestSweepStoreFailure' ./internal/fabric/ ./internal/experiments/
 	$(GO) test -race -v -run TestChaosSoakSharded ./internal/check/chaos/

@@ -82,6 +82,9 @@ func main() {
 	if *format != "text" && *format != "csv" {
 		fatal(fmt.Errorf("-format %q: want text or csv", *format))
 	}
+	if err := repro.ValidFaultSpec(*faults); err != nil {
+		fatal(fmt.Errorf("-faults: %w", err))
+	}
 
 	stopProf, err := prof.Start(*cpuProfile, *memProfile)
 	if err != nil {

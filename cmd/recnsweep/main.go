@@ -92,7 +92,7 @@ func main() {
 		}
 	}()
 	// Ctrl-C/SIGTERM cancels the sweep context: workers stop picking up
-	// runs, in-flight serial runs stop at the next engine chunk, and the
+	// runs, in-flight runs stop at the next horizon chunk, and the
 	// sweep returns ErrCanceled (handled by fail below).
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()

@@ -34,11 +34,16 @@ func main() {
 		chk      = flag.Bool("check", false, "run the replay under the runtime invariant checker and verify the end-of-run accounting")
 	)
 	flag.Parse()
+	if *shards < 0 {
+		check(fmt.Errorf("-shards %d: want 0 (serial) or a positive shard count", *shards))
+	}
 
 	switch {
 	case *gen:
 		tr, err := repro.GenerateCelloTrace(*hosts, repro.Time(*duration*float64(repro.Microsecond)), *genCF, *seed)
-		check(err)
+		if err != nil {
+			check(fmt.Errorf("-gen -gen-cf %v: %w", *genCF, err))
+		}
 		f, err := os.Create(*out)
 		check(err)
 		check(repro.WriteTrace(f, tr))
@@ -60,10 +65,13 @@ func main() {
 			// on its source host's shard engine.
 			_, err := net.Shard(*shards)
 			check(err)
-			check(repro.ReplayTrace(net, tr, *cf))
+		}
+		if err := repro.ReplayTrace(net, tr, *cf); err != nil {
+			check(fmt.Errorf("-replay %s -cf %v: %w", *replay, *cf, err))
+		}
+		if *shards > 0 {
 			net.DrainWindowed()
 		} else {
-			check(repro.ReplayTrace(net, tr, *cf))
 			net.Engine.Drain()
 		}
 		if *chk {

@@ -12,7 +12,6 @@
 package chaos
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -236,12 +235,6 @@ func (s Scenario) run() (err error) {
 	return s.checkReport(net)
 }
 
-// ErrSerialOnly marks a scenario the sharded runtime cannot execute:
-// scripted drops (drop=kind:n fragments) consume the serial engine's
-// global transmission order. Callers skip such scenarios in sharded
-// soaks rather than failing them.
-var ErrSerialOnly = errors.New("scenario scripts exact drops; serial engine only")
-
 // RunSharded executes the scenario on the windowed runtime with k
 // shard engines, under the same invariant checker, settle budget and
 // accounting audits as Run. The workload is an equivalent per-host
@@ -250,9 +243,6 @@ var ErrSerialOnly = errors.New("scenario scripts exact drops; serial engine only
 // exercise the same fault plans but not the same event schedule.
 func (s Scenario) RunSharded(k int) error {
 	if err := s.runSharded(k); err != nil {
-		if errors.Is(err, ErrSerialOnly) {
-			return err
-		}
 		return fmt.Errorf("chaos: %v [shards=%d]: %w", s, k, err)
 	}
 	return nil
@@ -266,9 +256,6 @@ func (s Scenario) runSharded(k int) (err error) {
 	plan, err := fault.ParsePlan(s.Spec())
 	if err != nil {
 		return err
-	}
-	if plan.HasScriptedDrops() {
-		return ErrSerialOnly
 	}
 	policy, err := s.policy()
 	if err != nil {

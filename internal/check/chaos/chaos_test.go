@@ -1,7 +1,6 @@
 package chaos
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -73,8 +72,9 @@ func TestChaosSoak(t *testing.T) {
 // TestChaosSoakSharded runs a subset of the soak seeds on the windowed
 // runtime with 4 shard engines (CI adds -race, which is the point: the
 // window barriers are the only synchronization, so any missing
-// happens-before edge surfaces here). Scenarios whose plans script
-// exact drops are skipped — those are serial-only by design.
+// happens-before edge surfaces here). Every generated plan runs,
+// scripted drops included: they are per-channel quotas, like every
+// other fault stream.
 func TestChaosSoakSharded(t *testing.T) {
 	seeds := *soakSeeds
 	if seeds > 6 {
@@ -91,9 +91,6 @@ func TestChaosSoakSharded(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := sc.RunSharded(4); err != nil {
-				if errors.Is(err, ErrSerialOnly) {
-					t.Skipf("%v", err)
-				}
 				t.Fatalf("sharded scenario failed: %v", err)
 			}
 		})

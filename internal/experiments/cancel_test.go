@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -26,47 +27,54 @@ func TestExecuteContextCanceledBeforeStart(t *testing.T) {
 	}
 }
 
-// Canceling mid-run interrupts at the next engine chunk: the cancel
-// fires from an event inside the simulation, so it must be seen well
-// before the horizon.
+// Canceling mid-run interrupts at the next chunk, on the serial
+// engine and on the windowed runtime alike: the cancel fires from an
+// event inside the simulation, so it must be seen well before the
+// horizon.
 func TestExecuteContextInterruptsMidRun(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	r := smallRun(t)
-	install := r.Workload
-	r.Workload = func(n traffic.Network) error {
-		n.Schedule(r.Until/4, cancel)
-		return install(n)
-	}
-	res, err := r.ExecuteContext(ctx)
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("err = %v, want ErrCanceled", err)
-	}
-	if res != nil {
-		t.Error("got a result from an interrupted run")
+	for _, shards := range []int{0, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		r := smallRun(t)
+		r.Shards = shards
+		install := r.Workload
+		r.Workload = func(n traffic.Network) error {
+			n.Schedule(r.Until/4, cancel)
+			return install(n)
+		}
+		res, err := r.ExecuteContext(ctx)
+		cancel()
+		if !errors.Is(err, ErrCanceled) {
+			t.Fatalf("shards=%d: err = %v, want ErrCanceled", shards, err)
+		}
+		if res != nil {
+			t.Errorf("shards=%d: got a result from an interrupted run", shards)
+		}
 	}
 }
 
-// The cancellable execution path chunks the engine horizon; that must
-// not change results. Same spec through Execute (one engine run) and
-// ExecuteContext with a live-but-never-canceled context (chunked runs)
-// must produce identical measurements.
+// The cancellable execution path chunks the horizon; that must not
+// change results on either runtime. Same spec through Execute (one
+// run call) and ExecuteContext with a live-but-never-canceled context
+// (chunked runs) must produce identical measurements.
 func TestExecuteContextChunkingBitIdentical(t *testing.T) {
-	r := smallRun(t)
-	serial, err := r.Execute()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	chunked, err := r.ExecuteContext(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Delivered != chunked.Delivered || serial.Injected != chunked.Injected || serial.Events != chunked.Events {
-		t.Errorf("chunked run diverged: serial (inj %d, del %d, ev %d) vs chunked (inj %d, del %d, ev %d)",
-			serial.Injected, serial.Delivered, serial.Events,
-			chunked.Injected, chunked.Delivered, chunked.Events)
+	for _, shards := range []int{0, 2} {
+		r := smallRun(t)
+		r.Shards = shards
+		whole, err := r.Execute()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(context.Background())
+		chunked, err := r.ExecuteContext(ctx)
+		cancel()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if whole.Events != chunked.Events || !reflect.DeepEqual(whole.Report(), chunked.Report()) {
+			t.Errorf("shards=%d: chunked run diverged: whole (inj %d, del %d, ev %d) vs chunked (inj %d, del %d, ev %d)",
+				shards, whole.Injected, whole.Delivered, whole.Events,
+				chunked.Injected, chunked.Delivered, chunked.Events)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/fabric"
@@ -58,6 +59,25 @@ func TestValidScale(t *testing.T) {
 	// The largest accepted scale keeps the longest horizon in range.
 	if err := ValidScale(float64(math.MaxInt64) / float64(paperHorizon) * 0.99); err != nil {
 		t.Errorf("scale just under the overflow bound rejected: %v", err)
+	}
+}
+
+func TestValidFaultSpec(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		ok   bool
+	}{
+		{"", true},
+		{"seed=auto,drop=token:2", true},
+		{"seed=1,drop=token:4,droprate=credit:0.01,flap=0:4:30us:40us", true},
+		{"garbage=1", false},
+		{"seed=auto,droprate=data:0.5", false},
+		{"seed=soon", false},
+		{"flap=0:4:40us:30us", false},
+	} {
+		if err := ValidFaultSpec(tc.spec); (err == nil) != tc.ok {
+			t.Errorf("ValidFaultSpec(%q) = %v, want ok=%v", tc.spec, err, tc.ok)
+		}
 	}
 }
 
@@ -243,6 +263,30 @@ func TestTableFormatting(t *testing.T) {
 	for _, want := range []string{"a,bb\n", "1,2.50\n", "xyz,3\n", "# note\n"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("csv missing %q:\n%s", want, got)
+		}
+	}
+}
+
+// EstimatedRuns is what the sweep daemon's admission control charges a
+// job, so it must equal the simulations a figure really schedules,
+// policy overrides included: the shoot-out runs every mechanism on each
+// of its scenarios, and the ablations ignore the override.
+func TestEstimatedRunsMatchesSimulations(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-run experiment")
+	}
+	for _, id := range []string{"shootout", "a1", "a2", "2a"} {
+		for _, pols := range [][]fabric.Policy{nil, {fabric.PolicyRECN, fabric.Policy1Q}} {
+			var ran atomic.Int32
+			o := Options{Scale: 0.01, Policies: pols}
+			o.OnRunDone = func(int, Run, *Result, bool) { ran.Add(1) }
+			if _, err := Reproduce(id, o); err != nil {
+				t.Fatalf("%s %v: %v", id, pols, err)
+			}
+			want, ok := EstimatedRuns(id, len(pols))
+			if !ok || int(ran.Load()) != want {
+				t.Errorf("%s with policies %v: simulated %d runs, EstimatedRuns says %d (%t)", id, pols, ran.Load(), want, ok)
+			}
 		}
 	}
 }

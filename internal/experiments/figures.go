@@ -72,7 +72,7 @@ type Options struct {
 	Check bool
 	// Context, if non-nil, makes every sweep under these options
 	// cancellable: when it is canceled or times out, sweeps stop
-	// scheduling runs, interrupt in-flight serial runs, and return an
+	// scheduling runs, interrupt in-flight runs, and return an
 	// error matching errors.Is(err, ErrCanceled) (see SweepContext).
 	// recnsweep wires Ctrl-C/SIGTERM here; the daemon wires each job's
 	// cancellation.

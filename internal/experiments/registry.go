@@ -85,23 +85,28 @@ var figureRunners = map[string]figureRunner{
 	},
 }
 
-// figureRuns estimates, per figure ID, how many simulations Reproduce
-// schedules under default options ("table1" builds traffic specs only
-// and simulates nothing). Admission control in the sweep daemon sizes
-// submissions with it; Options.Policies or custom ablation lists change
-// the real count, so it is an estimate, not an invariant.
-var figureRuns = map[string]int{
-	"table1": 0,
-	"2a":     5, "2b": 5, "2c": 5, "2d": 5,
-	"3a": 4, "3b": 4,
-	"4a": 1, "4b": 1,
-	"5a": 1, "5b": 1,
-	"6a": 3, "6b": 3,
-	"pkt512a": 5, "pkt512b": 5,
-	"a1": 5, "a2": 5, "a3": 2, "a4": 2,
-	"lat1": 3, "lat2": 3,
-	"shootout": 20,
-	"scaling": 4, "scaling1k": 4,
+// runCount is how many simulations a figure schedules: runs under its
+// default mechanism list, and perPolicy runs per mechanism when
+// Options.Policies overrides that list (0: the figure ignores the
+// override — single-mechanism figures, the ablations and table1, which
+// builds traffic specs only and simulates nothing).
+type runCount struct{ runs, perPolicy int }
+
+// figureRuns sizes every figure for admission control in the sweep
+// daemon (see EstimatedRuns).
+var figureRuns = map[string]runCount{
+	"table1": {0, 0},
+	"2a":     {5, 1}, "2b": {5, 1}, "2c": {5, 1}, "2d": {5, 1},
+	"3a": {4, 1}, "3b": {4, 1},
+	"4a": {1, 0}, "4b": {1, 0},
+	"5a": {1, 0}, "5b": {1, 0},
+	"6a": {3, 1}, "6b": {3, 1},
+	"pkt512a": {5, 1}, "pkt512b": {5, 1},
+	"a1": {5, 0}, "a2": {5, 0}, "a3": {2, 0}, "a4": {2, 0},
+	"lat1": {3, 1}, "lat2": {3, 1},
+	"shootout":  {20, 5}, // five scenarios per mechanism
+	"scaling":   {4, 1},
+	"scaling1k": {4, 1},
 }
 
 func fig2Runner(corner, pktSize int) figureRunner {
@@ -174,10 +179,15 @@ func KnownFigure(id string) bool {
 }
 
 // EstimatedRuns returns how many simulations Reproduce(id) schedules
-// under default options; false for unknown IDs.
-func EstimatedRuns(id string) (int, bool) {
-	n, ok := figureRuns[strings.ToLower(id)]
-	return n, ok
+// with policies mechanisms in Options.Policies (0 = the figure's
+// default list); false for unknown IDs. Custom ablation lists (the
+// recnsweep -counts/-kb flags) are not counted.
+func EstimatedRuns(id string, policies int) (int, bool) {
+	c, ok := figureRuns[strings.ToLower(id)]
+	if policies > 0 && c.perPolicy > 0 {
+		return c.perPolicy * policies, ok
+	}
+	return c.runs, ok
 }
 
 // Reproduce regenerates one of the paper's tables or figures by ID

@@ -301,16 +301,28 @@ func ValidScale(scale float64) error {
 	return nil
 }
 
+// ValidFaultSpec rejects a Run.FaultSpec that cannot parse, reading
+// "seed=auto" as ExecuteContext resolves it. CLIs and the sweep daemon
+// use it to reject a spec before any simulation starts.
+func ValidFaultSpec(spec string) error {
+	_, err := parseFaultSpec(spec, 0)
+	return err
+}
+
+// parseFaultSpec parses a fault spec with "seed=auto" resolved to seed.
+func parseFaultSpec(spec string, seed int64) (*fault.Plan, error) {
+	return fault.ParsePlan(strings.ReplaceAll(spec, "seed=auto", fmt.Sprintf("seed=%d", seed)))
+}
+
 // Execute builds the network, installs the workload and simulates.
 func (r Run) Execute() (*Result, error) { return r.ExecuteContext(context.Background()) }
 
-// ExecuteContext is Execute under a context. A serial run checks for
-// cancellation at horizon-fraction boundaries (the event stream is not
-// perturbed: the engine runs the same events in the same order, just in
-// chunks, so results stay bit-identical to an uncancelled Execute); a
-// canceled run returns an error matching errors.Is(err, ErrCanceled).
-// Sharded runs check only before starting — the windowed runtime owns
-// its barrier loop — so their cancellation granularity is the whole run.
+// ExecuteContext is Execute under a context. Serial and sharded runs
+// alike check for cancellation at horizon-fraction boundaries (the
+// event stream is not perturbed: the runtime runs the same events in
+// the same order, just in chunks, so results stay bit-identical to an
+// uncancelled Execute); a canceled run returns an error matching
+// errors.Is(err, ErrCanceled).
 func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -347,9 +359,7 @@ func (r Run) ExecuteContext(ctx context.Context) (*Result, error) {
 		// submission order and parallelism, distinct across runs with
 		// different specs (each policy of a fault sweep gets its own
 		// deterministic fault stream).
-		spec := strings.ReplaceAll(r.FaultSpec, "seed=auto", fmt.Sprintf("seed=%d", r.DerivedSeed()))
-		faults, err = fault.ParsePlan(spec)
-		if err != nil {
+		if faults, err = parseFaultSpec(r.FaultSpec, r.DerivedSeed()); err != nil {
 			return nil, err
 		}
 	}
@@ -532,65 +542,56 @@ func (r Run) simulate(ctx context.Context, net *fabric.Network) (err error) {
 			}
 		}()
 	}
+	// One loop drives both runtimes; a windowed run must also release
+	// its shard workers when it stops early or cuts off at the horizon.
+	run, drain, finish := func(t sim.Time) { net.Engine.Run(t) }, func() { net.Engine.Drain() }, func() {}
 	if net.ShardCount() > 0 {
-		net.RunWindowed(r.Until)
-		if r.DrainAll {
-			net.DrainWindowed()
-		} else {
-			net.FinishWindowed()
+		run, drain, finish = net.RunWindowed, net.DrainWindowed, net.FinishWindowed
+	}
+	// Under a cancellable context, run the horizon in chunks and check
+	// the context between them; otherwise in one call. Chunking
+	// dispatches the exact same events in the exact same order as one
+	// call — the chunk boundaries only bound how late a cancellation is
+	// noticed — so a run under a cancellable context that is never
+	// canceled is bit-identical (results, event counts, trace stamps)
+	// to one without.
+	step := r.Until
+	if ctx.Done() != nil && r.Until/128 > 0 {
+		step = r.Until / 128
+	}
+	for at := step; ; at += step {
+		if at > r.Until {
+			at = r.Until
 		}
-	} else if ctx.Done() == nil {
-		net.Engine.Run(r.Until)
-		if r.DrainAll {
-			net.Engine.Drain()
+		run(at)
+		if ctx.Err() != nil {
+			finish()
+			return fmt.Errorf("experiments: run interrupted at %v: %w", net.Engine.Now(), ErrCanceled)
 		}
-	} else {
-		// Cancellable: run the horizon in chunks, checking the context
-		// between them. Chunking dispatches the exact same events in the
-		// exact same order as one Run call — the chunk boundaries only
-		// bound how late a cancellation is noticed — so a run under a
-		// cancellable context that is never canceled is bit-identical
-		// (results, event counts, trace stamps) to one without.
-		step := r.Until / 128
-		if step <= 0 {
-			step = r.Until
-		}
-		for at := step; ; at += step {
-			if at > r.Until {
-				at = r.Until
-			}
-			net.Engine.Run(at)
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("experiments: run interrupted at %v: %w", net.Engine.Now(), ErrCanceled)
-			}
-			if at == r.Until {
-				break
-			}
-		}
-		if r.DrainAll {
-			net.Engine.Drain()
-			if cerr := ctx.Err(); cerr != nil {
-				return fmt.Errorf("experiments: run interrupted during drain: %w", ErrCanceled)
-			}
+		if at == r.Until {
+			break
 		}
 	}
-	if r.DrainAll {
-		if r.Check {
-			// FinalCheck subsumes CheckQuiesced and adds the end-of-run
-			// accounting plus the wait-graph diagnosis for stuck packets.
-			if verr := net.FinalCheck(); verr != nil {
-				if v, ok := verr.(*check.Violation); ok {
-					return fmt.Errorf("experiments: invariant violation:\n%s", v.Detail())
-				}
-				return verr
-			}
-			return nil
-		}
-		if err := net.CheckQuiesced(); err != nil {
-			return err
-		}
+	if !r.DrainAll {
+		finish()
+		return nil
 	}
-	return nil
+	drain()
+	if ctx.Err() != nil {
+		return fmt.Errorf("experiments: run interrupted during drain: %w", ErrCanceled)
+	}
+	if r.Check {
+		// FinalCheck subsumes CheckQuiesced and adds the end-of-run
+		// accounting plus the wait-graph diagnosis for stuck packets.
+		if verr := net.FinalCheck(); verr != nil {
+			if v, ok := verr.(*check.Violation); ok {
+				return fmt.Errorf("experiments: invariant violation:\n%s", v.Detail())
+			}
+			return verr
+		}
+		return nil
+	}
+	return net.CheckQuiesced()
 }
 
 // CornerWorkload wraps traffic.Corner as a Run workload.

@@ -103,8 +103,11 @@ func (r Run) cacheable() bool {
 
 // cacheVersion invalidates every cache entry written by previous
 // simulator revisions; bump it whenever a model change alters results
-// without altering specs.
-const cacheVersion = 1
+// without altering specs. Version 2: serial fault runs draw per-channel
+// fault streams and per-link scripted drops instead of one plan-wide
+// stream, so a version-1 faulted entry holds a different result under
+// the same spec key.
+const cacheVersion = 2
 
 // RunCache is an on-disk cache of run results keyed by SpecHash. One
 // entry is one JSON file holding the spec key (verified on load, so a
@@ -403,10 +406,10 @@ func Sweep(runs []Run, o Options) ([]*Result, error) {
 
 // SweepContext is Sweep under an explicit context (which wins over
 // Options.Context). When ctx is canceled or times out, the sweep stops
-// scheduling new runs, interrupts in-flight serial runs at the next
-// cancellation check, and returns the results completed so far
-// alongside an error matching errors.Is(err, ErrCanceled); unfinished
-// slots of the results slice are nil.
+// scheduling new runs, interrupts in-flight runs (serial and sharded)
+// at the next cancellation check, and returns the results completed so
+// far alongside an error matching errors.Is(err, ErrCanceled);
+// unfinished slots of the results slice are nil.
 func SweepContext(ctx context.Context, runs []Run, o Options) ([]*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()

@@ -120,21 +120,24 @@ type channel struct {
 	// Legacy mode only.
 	dataInFlight int
 
+	// fv, when non-nil, is this channel's private fault view: its own
+	// RNG stream (salted by channel ID), scripted-drop quotas and
+	// corruption cadence, so verdicts depend only on this channel's
+	// traffic.
+	fv *fault.View
+	// id is the deterministic wiring-order channel ID (see
+	// numberChannels).
+	id int32
+
 	// Windowed-mode state. The split sent/recv counters replace
 	// inFlight: the source shard writes sent*, the destination shard
 	// writes recv*, and only barrier-context code reads both (distinct
 	// words, so the windows never race).
-	id       int32 // deterministic wiring-order channel ID
 	dstShard int32 // shard owning the sink
 	sentData uint64
 	sentCtl  uint64
 	recvData uint64
 	recvCtl  uint64
-	// fv, when non-nil, is this channel's private fault view (windowed
-	// mode): scripted quotas are shared atomically plan-wide, but the
-	// probabilistic stream is per-channel (salted by channel ID) so the
-	// verdict sequence is shard-count-invariant.
-	fv *fault.View
 }
 
 // init builds a channel in place (channels are embedded in their owning
@@ -228,30 +231,6 @@ func dataArriveEvent(arg any) {
 	ch.sink.arriveData(p)
 }
 
-// ctlVerdict resolves the fate of a control item under fault injection:
-// through the channel's private view in windowed mode, through the
-// shared plan in legacy mode, no-fault otherwise.
-func (ch *channel) ctlVerdict(item ctlItem) (fault.Verdict, bool) {
-	if ch.fv != nil {
-		return ch.fv.CtlVerdict(item.faultKind()), true
-	}
-	if plan := ch.net.faults; plan != nil {
-		return plan.CtlVerdict(item.faultKind()), true
-	}
-	return fault.Verdict{}, false
-}
-
-// corruptData resolves payload corruption for the next data packet.
-func (ch *channel) corruptData() bool {
-	if ch.fv != nil {
-		return ch.fv.CorruptData()
-	}
-	if plan := ch.net.faults; plan != nil {
-		return plan.CorruptData()
-	}
-	return false
-}
-
 func (ch *channel) attempt() {
 	ch.kickPending = false
 	if ch.down {
@@ -274,8 +253,8 @@ func (ch *channel) attempt() {
 		}
 		ser := ch.rate.Serialize(item.size)
 		ch.busyUntil = e.Now() + ser
-		if v, faulty := ch.ctlVerdict(item); faulty {
-			switch {
+		if ch.fv != nil {
+			switch v := ch.fv.CtlVerdict(item.faultKind()); {
 			case v.Drop:
 				// The message consumed link time but never arrives.
 				if ch.sc.rec != nil {
@@ -310,7 +289,7 @@ func (ch *channel) attempt() {
 	}
 	ser := ch.rate.Serialize(o.bytes)
 	ch.busyUntil = e.Now() + ser
-	if ch.corruptData() {
+	if ch.fv != nil && ch.fv.CorruptData() {
 		o.p.Corrupted = true
 		if ch.sc.rec != nil {
 			ch.sc.rec.Record(trace.EvFault, ch.loc, "data", 0, trace.FaultCorrupt, 0)

@@ -420,10 +420,13 @@ func New(cfg Config) (*Network, error) {
 		n.base.report = n.report
 	}
 	if cfg.Faults != nil {
-		if err := cfg.Faults.Bind(n.report); err != nil {
+		if err := cfg.Faults.Bind(); err != nil {
 			return nil, err
 		}
 		n.faults = cfg.Faults
+	}
+	n.numberChannels()
+	if n.faults != nil {
 		if err := n.applyFlaps(); err != nil {
 			return nil, err
 		}
@@ -442,6 +445,32 @@ func New(cfg Config) (*Network, error) {
 		}
 	}
 	return n, nil
+}
+
+// numberChannels gives every channel its wiring-order ID — switch
+// outputs first (ID-major, port-minor), then NIC injection links — and,
+// under a fault plan, its private fault view salted with ID + 1. The
+// IDs key the windowed mailboxes; the views are the only fault model,
+// so the serial engine and every shard count draw per-channel streams.
+func (n *Network) numberChannels() {
+	id := int32(0)
+	number := func(ch *channel) {
+		ch.id = id
+		if n.faults != nil {
+			ch.fv = n.faults.View(int64(id)+1, n.report)
+		}
+		id++
+	}
+	for _, sw := range n.switches {
+		for _, out := range sw.out {
+			if out != nil {
+				number(out.ch)
+			}
+		}
+	}
+	for _, nic := range n.nics {
+		number(nic.inj.ch)
+	}
 }
 
 // Tracer returns the flight recorder, or nil when tracing is disabled.

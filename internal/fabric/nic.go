@@ -144,7 +144,7 @@ type NIC struct {
 	inj *egressUnit
 
 	seq   map[uint32]uint64 // (dst, class) → next sequence number
-	idSeq uint64            // windowed-mode per-host packet ID counter
+	idSeq uint64            // per-host packet ID counter
 
 	pumpScheduled bool
 	// runPumpFn is nic.runPump bound once, so pump never allocates a
@@ -266,21 +266,13 @@ func (nic *NIC) injectMessage(dst, size int, class uint8) error {
 		if rem < sz {
 			sz = rem
 		}
-		var id uint64
-		if nic.sc.sharded {
-			// Windowed mode: a global injection counter would depend on
-			// the shard interleaving. Per-host IDs depend only on this
-			// host's own injection stream, which is shard-count-invariant.
-			nic.idSeq++
-			id = uint64(nic.host+1)<<40 | nic.idSeq
-		} else {
-			nic.sc.pktSeq++
-			id = nic.sc.pktSeq
-		}
+		// Per-host IDs depend only on this host's own injection stream,
+		// so they are the same on every runtime and shard count.
+		nic.idSeq++
 		nic.seq[seqKey]++
 		p := nic.sc.pktPool.Get()
 		*p = pkt.Packet{
-			ID:        id,
+			ID:        uint64(nic.host+1)<<40 | nic.idSeq,
 			Src:       nic.host,
 			Dst:       dst,
 			Size:      sz,

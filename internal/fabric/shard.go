@@ -83,7 +83,6 @@ type shardCtx struct {
 	xfers   []*xferRec
 	mails   []*mailRec
 
-	pktSeq    uint64
 	lastSeq   map[uint64]uint64 // (src,dst,class) → last delivered seq
 	liveXfers int
 	// onDeliver is the per-shard delivery observer in windowed mode

@@ -159,15 +159,12 @@ func mailArriveEvent(arg any) {
 // count and the effective shard count is returned. Requirements:
 //
 //   - LinkLatency must be positive (it is the conservative lookahead);
-//   - a fault plan must not script exact drops (DropNext consumes a
-//     global transmission order no parallel schedule reproduces —
-//     probabilistic rules, corruption and flaps all work, on
-//     per-channel streams salted by the wiring-order channel ID);
 //   - hosts and channels must fit the 17-bit mailbox key space.
 //
-// Note the windowed fault and corruption streams are per-channel and
-// therefore differ from the legacy plan-wide streams (deterministically
-// so, at every shard count).
+// Every fault plan runs sharded: New already gave each channel its
+// per-channel fault view (RNG stream, scripted-drop quotas, corruption
+// cadence), and Shard only re-points each view's counters at the
+// owning shard's report, merged after the run.
 func (n *Network) Shard(k int) (int, error) {
 	if n.group != nil {
 		return 0, fmt.Errorf("fabric: network already sharded")
@@ -180,9 +177,6 @@ func (n *Network) Shard(k int) (int, error) {
 	}
 	if n.Engine.Now() != 0 || n.InjectedPackets != 0 {
 		return 0, fmt.Errorf("fabric: Shard must be called before the simulation starts")
-	}
-	if n.faults != nil && n.faults.HasScriptedDrops() {
-		return 0, fmt.Errorf("fabric: scripted drops (fault.Plan.DropNext) need the serial engine — they consume a global transmission order")
 	}
 	if len(n.nics) >= maxMailKeys {
 		return 0, fmt.Errorf("fabric: %d hosts exceed the %d-host mailbox key space", len(n.nics), maxMailKeys)
@@ -249,20 +243,17 @@ func (n *Network) Shard(k int) (int, error) {
 		n.hostShard[h] = int32(s)
 	}
 
-	// Channel IDs in deterministic wiring order: switch outputs first
-	// (ID-major, port-minor), then NIC injection links.
-	chID := int32(0)
+	// Channels keep their wiring-order IDs from New (the mailbox keys);
+	// each moves to its sender's shard, and its fault view reports there.
 	assign := func(ch *channel, owner *shardCtx, dstShard int) error {
-		if int(chID) >= maxMailKeys {
-			return fmt.Errorf("fabric: %d+ channels exceed the %d-channel mailbox key space", chID+1, maxMailKeys)
+		if int(ch.id) >= maxMailKeys {
+			return fmt.Errorf("fabric: %d+ channels exceed the %d-channel mailbox key space", ch.id+1, maxMailKeys)
 		}
 		ch.sc = owner
-		ch.id = chID
 		ch.dstShard = int32(dstShard)
-		if n.faults != nil {
-			ch.fv = n.faults.View(int64(chID)+1, owner.report)
+		if ch.fv != nil {
+			ch.fv.SetReport(owner.report)
 		}
-		chID++
 		return nil
 	}
 	for _, sw := range n.switches {

@@ -5,12 +5,16 @@
 // Xon/Xoff always arrive (§3.7) and credits are never lost. Real
 // interconnects drop and delay control symbols, and links flap. A Plan
 // describes which of those imperfections to inject — per-kind
-// probabilistic rules, scripted "drop the next N" counters, payload
-// corruption and a link-flap schedule — all driven by one seeded RNG so
-// every run is reproducible. A Recovery describes the watchdog layer
-// (implemented in internal/fabric) that detects the resulting stalls
-// and leaks and repairs them: SAQ token-timeout reclaim, credit resync,
-// Xoff retransmit and remote-stop override.
+// probabilistic rules, scripted "drop the first N" counters, payload
+// corruption and a link-flap schedule. Each link direction applies the
+// plan through its own View — a private RNG stream seeded from the plan
+// seed and the channel's wiring-order ID, private script quotas and a
+// private corruption cadence — so every run is reproducible, and the
+// serial and windowed runtimes share one fault model. A Recovery
+// describes the watchdog layer (implemented in internal/fabric) that
+// detects the resulting stalls and leaks and repairs them: SAQ
+// token-timeout reclaim, credit resync, Xoff retransmit and
+// remote-stop override.
 //
 // Data packets are never dropped: the fabric is lossless by
 // construction, and link-level CRC/retry (standard in lossless
@@ -70,7 +74,7 @@ type LinkFlap struct {
 	Down, Up     sim.Time
 }
 
-// Verdict is the fate of one message as decided by the plan.
+// Verdict is the fate of one message as decided by a channel's view.
 type Verdict struct {
 	Drop  bool
 	Dup   bool
@@ -80,28 +84,24 @@ type Verdict struct {
 // Plan is a deterministic fault schedule for one network run. Configure
 // it with the chainable setters (or struct literals), hand it to
 // fabric.Config.Faults, and read the outcome from the network's
-// FaultReport. A Plan is single-use: binding it to a second network is
-// an error (its RNG and script counters advance during the run).
+// FaultReport. The plan itself is a pure description: the fabric gives
+// every link direction its own View, and the views hold all run state.
+// A Plan is single-use: binding it to a second network is an error.
 type Plan struct {
 	// Seed drives every probabilistic rule.
 	Seed int64
 	// Rules holds the per-kind probabilistic fault rules.
 	Rules map[Kind]Rule
-	// DropNext scripts exact losses: the next N messages of a kind
-	// (network-wide, in transmission order) are dropped.
+	// DropNext scripts exact losses: the first N messages of a kind
+	// transmitted on each link direction are dropped.
 	DropNext map[Kind]int
 	// CorruptEvery corrupts the payload of every Nth data packet
-	// transmitted on any link (0 = never).
+	// transmitted on each link direction (0 = never).
 	CorruptEvery int
 	// Flaps is the link-failure schedule.
 	Flaps []LinkFlap
 
-	// Run state, initialized by Bind.
-	rng      *rand.Rand
-	report   *stats.FaultReport
-	dropLeft [stats.NumFaultKinds]int
-	dataSeen int
-	bound    bool
+	bound bool
 }
 
 // NewPlan returns an empty plan with the given RNG seed.
@@ -113,7 +113,8 @@ func NewPlan(seed int64) *Plan {
 	}
 }
 
-// Drop scripts the loss of the next n messages of kind k.
+// Drop scripts the loss of the first n messages of kind k on each link
+// direction.
 func (p *Plan) Drop(k Kind, n int) *Plan {
 	if p.DropNext == nil {
 		p.DropNext = make(map[Kind]int)
@@ -137,7 +138,7 @@ func (p *Plan) Flap(f LinkFlap) *Plan {
 	return p
 }
 
-// Corrupt corrupts every nth data packet.
+// Corrupt corrupts every nth data packet on each link direction.
 func (p *Plan) Corrupt(every int) *Plan {
 	p.CorruptEvery = every
 	return p
@@ -201,10 +202,9 @@ func (p *Plan) Validate() error {
 	return nil
 }
 
-// Bind attaches the plan to a network run: the report receives the
-// injected-fault counters. Called by the fabric; binding twice is an
-// error because run state (RNG, script counters) is consumed.
-func (p *Plan) Bind(report *stats.FaultReport) error {
+// Bind validates the plan and marks it used by a network. Called by
+// the fabric; binding twice is an error (plans are single-use).
+func (p *Plan) Bind() error {
 	if p.bound {
 		return fmt.Errorf("fault: plan already bound to a network (plans are single-use)")
 	}
@@ -212,92 +212,38 @@ func (p *Plan) Bind(report *stats.FaultReport) error {
 		return err
 	}
 	p.bound = true
-	p.rng = rand.New(rand.NewSource(p.Seed))
-	p.report = report
-	for k, n := range p.DropNext {
-		p.dropLeft[k] = n
-	}
 	return nil
 }
 
-// Report returns the bound report (nil before Bind).
-func (p *Plan) Report() *stats.FaultReport { return p.report }
-
-// CtlVerdict decides the fate of one control message of kind k, in
-// network-wide transmission order. Scripted drops are consumed first;
-// then the probabilistic rule applies.
-func (p *Plan) CtlVerdict(k Kind) Verdict {
-	if p.dropLeft[k] > 0 {
-		p.dropLeft[k]--
-		p.report.Dropped[k]++
-		return Verdict{Drop: true}
-	}
-	r, ok := p.Rules[k]
-	if !ok || r.zero() {
-		return Verdict{}
-	}
-	switch {
-	case r.DropProb > 0 && p.rng.Float64() < r.DropProb:
-		p.report.Dropped[k]++
-		return Verdict{Drop: true}
-	case r.DupProb > 0 && p.rng.Float64() < r.DupProb:
-		p.report.Duplicated[k]++
-		return Verdict{Dup: true}
-	case r.DelayProb > 0 && p.rng.Float64() < r.DelayProb:
-		p.report.Delayed[k]++
-		return Verdict{Delay: r.Delay}
-	}
-	return Verdict{}
-}
-
-// CorruptData decides whether the next data packet transmitted on a
-// link has its payload corrupted.
-func (p *Plan) CorruptData() bool {
-	p.dataSeen++
-	if p.CorruptEvery > 0 && p.dataSeen%p.CorruptEvery == 0 {
-		p.report.Corrupted++
-		return true
-	}
-	return false
-}
-
-// HasScriptedDrops reports whether the plan scripts exact drops
-// (DropNext). Scripted drops consume a network-wide transmission order
-// and therefore need the serial engine; the sharded runtime rejects
-// them.
-func (p *Plan) HasScriptedDrops() bool {
-	for _, n := range p.DropNext {
-		if n > 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// View is a per-channel instance of a plan's probabilistic rules, used
-// by the sharded runtime: each channel draws from its own RNG stream
-// (derived from the plan seed and the channel's wiring-order ID) and
-// counts its own corruption cadence, so verdicts depend only on the
-// channel's local traffic — deterministic at any shard count. Scripted
-// drops are excluded (see HasScriptedDrops); note CorruptEvery counts
-// per channel here, not plan-wide as in the serial mode.
+// View is one link direction's instance of a plan: it draws from its
+// own RNG stream (derived from the plan seed and the channel's
+// wiring-order ID), consumes its own scripted-drop quotas and counts its
+// own corruption cadence. Verdicts therefore depend only on the
+// channel's local traffic order, never on how other links interleave —
+// which is what keeps windowed runs identical at every shard count.
 type View struct {
 	p        *Plan
-	rng      *rand.Rand
+	seed     int64
+	rng      *rand.Rand // built from seed on the first draw (see chance)
 	report   *stats.FaultReport
+	dropLeft [stats.NumFaultKinds]int
 	dataSeen int
 }
 
-// View derives the per-channel rule instance for salt (the channel's
-// stable ID); report receives the injected-fault counters (the owning
-// shard's, merged after the run).
+// View derives the per-channel instance for salt (the channel's stable
+// ID); report receives the injected-fault counters.
 func (p *Plan) View(salt int64, report *stats.FaultReport) *View {
-	return &View{
-		p:      p,
-		rng:    rand.New(rand.NewSource(mixSeed(p.Seed, salt))),
-		report: report,
+	v := &View{p: p, seed: mixSeed(p.Seed, salt), report: report}
+	for k, n := range p.DropNext {
+		v.dropLeft[k] = n
 	}
+	return v
 }
+
+// SetReport redirects the view's counters (the windowed runtime points
+// each channel's view at its owning shard's report, merged after the
+// run).
+func (v *View) SetReport(report *stats.FaultReport) { v.report = report }
 
 // mixSeed decorrelates the per-channel streams: adjacent salts must
 // not yield adjacent (correlated) rand.Source states, so the pair is
@@ -309,22 +255,37 @@ func mixSeed(seed, salt int64) int64 {
 	return int64(z ^ (z >> 31))
 }
 
+// chance draws the view's next uniform variate. The stream is seeded
+// on first use: its state is ~5 KB, a 4096-host fat tree has 49152
+// channels, and a channel that never draws never pays for it.
+func (v *View) chance() float64 {
+	if v.rng == nil {
+		v.rng = rand.New(rand.NewSource(v.seed))
+	}
+	return v.rng.Float64()
+}
+
 // CtlVerdict decides the fate of one control message of kind k on this
-// view's channel (probabilistic rules only; scripted drops are a
-// serial-mode feature).
+// view's channel. Scripted drops are consumed first; then the
+// probabilistic rule applies.
 func (v *View) CtlVerdict(k Kind) Verdict {
+	if v.dropLeft[k] > 0 {
+		v.dropLeft[k]--
+		v.report.Dropped[k]++
+		return Verdict{Drop: true}
+	}
 	r, ok := v.p.Rules[k]
 	if !ok || r.zero() {
 		return Verdict{}
 	}
 	switch {
-	case r.DropProb > 0 && v.rng.Float64() < r.DropProb:
+	case r.DropProb > 0 && v.chance() < r.DropProb:
 		v.report.Dropped[k]++
 		return Verdict{Drop: true}
-	case r.DupProb > 0 && v.rng.Float64() < r.DupProb:
+	case r.DupProb > 0 && v.chance() < r.DupProb:
 		v.report.Duplicated[k]++
 		return Verdict{Dup: true}
-	case r.DelayProb > 0 && v.rng.Float64() < r.DelayProb:
+	case r.DelayProb > 0 && v.chance() < r.DelayProb:
 		v.report.Delayed[k]++
 		return Verdict{Delay: r.Delay}
 	}

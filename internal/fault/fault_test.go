@@ -8,26 +8,51 @@ import (
 	"repro/internal/stats"
 )
 
-func TestScriptedDropsConsumeFirst(t *testing.T) {
-	p := NewPlan(1).Drop(Token, 2)
-	var rep stats.FaultReport
-	if err := p.Bind(&rep); err != nil {
+// bindView binds p and returns one channel's view of it reporting into
+// rep.
+func bindView(t *testing.T, p *Plan, rep *stats.FaultReport) *View {
+	t.Helper()
+	if err := p.Bind(); err != nil {
 		t.Fatal(err)
 	}
-	if v := p.CtlVerdict(Token); !v.Drop {
+	return p.View(1, rep)
+}
+
+func TestScriptedDropsConsumeFirst(t *testing.T) {
+	var rep stats.FaultReport
+	v := bindView(t, NewPlan(1).Drop(Token, 2), &rep)
+	if got := v.CtlVerdict(Token); !got.Drop {
 		t.Fatal("first token not dropped")
 	}
-	if v := p.CtlVerdict(Token); !v.Drop {
+	if got := v.CtlVerdict(Token); !got.Drop {
 		t.Fatal("second token not dropped")
 	}
-	if v := p.CtlVerdict(Token); v.Drop {
+	if got := v.CtlVerdict(Token); got.Drop {
 		t.Fatal("third token dropped (script exhausted)")
 	}
-	if v := p.CtlVerdict(Credit); v.Drop || v.Dup || v.Delay != 0 {
+	if got := v.CtlVerdict(Credit); got.Drop || got.Dup || got.Delay != 0 {
 		t.Fatal("credit affected by token script")
 	}
 	if rep.Dropped[Token] != 2 {
 		t.Fatalf("Dropped[Token] = %d, want 2", rep.Dropped[Token])
+	}
+}
+
+// Scripted quotas are per view: a second channel's view of the same
+// plan drops its own first N messages, untouched by the first's.
+func TestScriptedDropsPerView(t *testing.T) {
+	p := NewPlan(1).Drop(Token, 1)
+	var rep stats.FaultReport
+	a := bindView(t, p, &rep)
+	b := p.View(2, &rep)
+	if !a.CtlVerdict(Token).Drop || a.CtlVerdict(Token).Drop {
+		t.Fatal("view a: want exactly its first token dropped")
+	}
+	if !b.CtlVerdict(Token).Drop || b.CtlVerdict(Token).Drop {
+		t.Fatal("view b: want exactly its first token dropped")
+	}
+	if rep.Dropped[Token] != 2 {
+		t.Fatalf("Dropped[Token] = %d, want 2 (one per view)", rep.Dropped[Token])
 	}
 }
 
@@ -37,12 +62,10 @@ func TestDeterministicVerdicts(t *testing.T) {
 			Rule(Xoff, Rule{DropProb: 0.3}).
 			Rule(Credit, Rule{DropProb: 0.1, DelayProb: 0.2, Delay: sim.Microsecond})
 		var rep stats.FaultReport
-		if err := p.Bind(&rep); err != nil {
-			t.Fatal(err)
-		}
+		v := bindView(t, p, &rep)
 		var out []Verdict
 		for i := 0; i < 200; i++ {
-			out = append(out, p.CtlVerdict(Xoff), p.CtlVerdict(Credit))
+			out = append(out, v.CtlVerdict(Xoff), v.CtlVerdict(Credit))
 		}
 		return out
 	}
@@ -110,24 +133,20 @@ func TestValidateFirstErrorDeterministic(t *testing.T) {
 
 func TestBindIsSingleUse(t *testing.T) {
 	p := NewPlan(1)
-	var rep stats.FaultReport
-	if err := p.Bind(&rep); err != nil {
+	if err := p.Bind(); err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Bind(&rep); err == nil {
+	if err := p.Bind(); err == nil {
 		t.Fatal("second Bind succeeded; plans must be single-use")
 	}
 }
 
 func TestCorruptEvery(t *testing.T) {
-	p := NewPlan(1).Corrupt(3)
 	var rep stats.FaultReport
-	if err := p.Bind(&rep); err != nil {
-		t.Fatal(err)
-	}
+	v := bindView(t, NewPlan(1).Corrupt(3), &rep)
 	var hits int
 	for i := 0; i < 9; i++ {
-		if p.CorruptData() {
+		if v.CorruptData() {
 			hits++
 		}
 	}

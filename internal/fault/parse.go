@@ -13,7 +13,7 @@ import (
 // format behind the `recnsim -faults` flag. Items:
 //
 //	seed=N                     RNG seed for probabilistic rules
-//	drop=KIND:N                drop the next N messages of KIND
+//	drop=KIND:N                drop the first N KIND messages on each link
 //	droprate=KIND:P            drop each KIND message with probability P
 //	duprate=KIND:P             duplicate with probability P
 //	delayrate=KIND:P:DUR       delay by DUR with probability P

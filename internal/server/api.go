@@ -79,7 +79,7 @@ func (s *Server) handleFigures(w http.ResponseWriter, r *http.Request) {
 	ids := experiments.FigureIDs()
 	out := make([]fig, 0, len(ids))
 	for _, id := range ids {
-		n, _ := experiments.EstimatedRuns(id)
+		n, _ := experiments.EstimatedRuns(id, 0)
 		out = append(out, fig{ID: id, EstimatedRuns: n})
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"figures": out})

@@ -398,18 +398,13 @@ func (s *Server) execute(ctx context.Context, j *job, spec SweepRequest) ([]*exp
 }
 
 // estimateRuns sizes a submission for admission control: the summed
-// per-figure simulation counts under default options.
+// per-figure simulation counts under the submitted policy list.
 func estimateRuns(spec SweepRequest) (int, error) {
 	total := 0
 	for _, id := range spec.Figures {
-		n, ok := experiments.EstimatedRuns(id)
+		n, ok := experiments.EstimatedRuns(id, len(spec.Policies))
 		if !ok {
 			return 0, fmt.Errorf("unknown figure %q", id)
-		}
-		if len(spec.Policies) > 0 && n > 1 {
-			// A policy override replaces the default mechanism list on
-			// the multi-policy figures.
-			n = len(spec.Policies)
 		}
 		total += n
 	}
@@ -439,6 +434,9 @@ func validate(spec SweepRequest) error {
 	}
 	if err := experiments.ValidScale(spec.Scale); err != nil {
 		return fmt.Errorf("scale: %w", err)
+	}
+	if err := experiments.ValidFaultSpec(spec.FaultSpec); err != nil {
+		return fmt.Errorf("fault_spec: %w", err)
 	}
 	if spec.Shards < 0 {
 		return fmt.Errorf("shards: negative (%d)", spec.Shards)

@@ -175,6 +175,35 @@ func TestAdmissionQueueFullRejection(t *testing.T) {
 	}
 }
 
+// A policy override multiplies the shoot-out's scenarios instead of
+// replacing its run count, and the ablations ignore it: admission must
+// charge what the job will really simulate, so -max-runs holds.
+func TestAdmissionCountsPolicyOverrides(t *testing.T) {
+	stub := newStubRunner()
+	_, ts := newTestServer(t, Config{MaxRunsPerJob: 100, reproduce: stub.run})
+	for _, tc := range []struct {
+		body string
+		want float64
+	}{
+		{`{"figures":["shootout"],"policies":["RECN","1Q"]}`, 10},
+		{`{"figures":["a1","a2"],"policies":["RECN","1Q"]}`, 10},
+		{`{"figures":["2a"],"policies":["RECN","1Q"]}`, 2},
+		{`{"figures":["shootout"]}`, 20},
+	} {
+		code, body := submit(t, ts, tc.body)
+		if code != http.StatusAccepted {
+			t.Fatalf("%s: got %d %v, want 202", tc.body, code, body)
+		}
+		if got := body["estimated_runs"]; got != tc.want {
+			t.Errorf("%s: estimated_runs %v, want %v", tc.body, got, tc.want)
+		}
+	}
+	_, ts = newTestServer(t, Config{MaxRunsPerJob: 9, reproduce: stub.run})
+	if code, body := submit(t, ts, `{"figures":["shootout"],"policies":["RECN","1Q"]}`); code != http.StatusRequestEntityTooLarge {
+		t.Errorf("10-run shoot-out under a 9-run limit: got %d %v, want 413", code, body)
+	}
+}
+
 func TestAdmissionOversizedRequestRejection(t *testing.T) {
 	stub := newStubRunner()
 	_, ts := newTestServer(t, Config{MaxRunsPerJob: 3, reproduce: stub.run})
@@ -203,6 +232,7 @@ func TestAdmissionBadRequests(t *testing.T) {
 		{"bad throttle key", `{"figures":["shootout"],"throttle_spec":"bogus=1"}`},
 		{"throttle rate out of range", `{"figures":["shootout"],"throttle_spec":"min=2000"}`},
 		{"arn inverted hysteresis", `{"figures":["shootout"],"arn_spec":"on=1024,off=4096"}`},
+		{"bad fault spec", `{"figures":["2a"],"fault_spec":"garbage=1"}`},
 	} {
 		code, body := submit(t, ts, tc.body)
 		if code != http.StatusBadRequest {

@@ -68,8 +68,9 @@ func (c Cello) Install(net Network) error {
 	if c.Disks <= 0 || c.Disks >= net.Hosts() {
 		return fmt.Errorf("traffic: %d disks on a %d-host network", c.Disks, net.Hosts())
 	}
-	if c.Compression <= 0 {
-		return fmt.Errorf("traffic: compression factor %v", c.Compression)
+	// Every gap the generator draws is around ThinkTime or shorter.
+	if err := checkCompression(c.Compression, c.ThinkTime); err != nil {
+		return err
 	}
 	if c.Duration <= 0 {
 		return fmt.Errorf("traffic: duration %v", c.Duration)

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
 
@@ -90,11 +91,15 @@ type Replay struct {
 
 // Install schedules every record.
 func (rp Replay) Install(net Network) error {
-	if rp.Compression <= 0 {
-		return fmt.Errorf("traffic: compression factor %v", rp.Compression)
-	}
 	if !rp.Trace.Sorted() {
 		return fmt.Errorf("traffic: trace not time-ordered (call Sort first)")
+	}
+	var last sim.Time
+	if len(rp.Trace) > 0 {
+		last = rp.Trace[len(rp.Trace)-1].T
+	}
+	if err := checkCompression(rp.Compression, last); err != nil {
+		return err
 	}
 	hosts := net.Hosts()
 	for _, r := range rp.Trace {
@@ -108,6 +113,19 @@ func (rp Replay) Install(net Network) error {
 		hv.Schedule(sim.Time(float64(r.T)/rp.Compression), func() {
 			hv.Inject(r.Src, r.Dst, r.Size)
 		})
+	}
+	return nil
+}
+
+// checkCompression rejects a time-compression factor that is not a
+// finite positive number, or that stretches span (the longest time it
+// will divide) past the simulated clock.
+func checkCompression(factor float64, span sim.Time) error {
+	if !(factor > 0) || math.IsInf(factor, 0) {
+		return fmt.Errorf("traffic: compression factor %v: want a finite positive number", factor)
+	}
+	if float64(span)/factor >= math.MaxInt64 {
+		return fmt.Errorf("traffic: compression factor %v stretches %v past the simulated clock", factor, span)
 	}
 	return nil
 }

@@ -275,9 +275,10 @@ func TestCelloValidation(t *testing.T) {
 	if err := c.Install(net); err == nil {
 		t.Error("disks == hosts accepted")
 	}
-	c = DefaultCello(0)
-	if err := c.Install(net); err == nil {
-		t.Error("compression 0 accepted")
+	for _, cf := range []float64{0, -1, math.NaN(), math.Inf(1), 1e-30} {
+		if err := DefaultCello(cf).Install(net); err == nil {
+			t.Errorf("compression %v accepted", cf)
+		}
 	}
 	c = DefaultCello(20)
 	c.Duration = 0
@@ -358,8 +359,15 @@ func TestReplay(t *testing.T) {
 	if err := (Replay{Trace: oob, Compression: 1}).Install(newFakeNet(4)); err == nil {
 		t.Error("out-of-range record accepted")
 	}
-	if err := (Replay{Trace: tr, Compression: 0}).Install(newFakeNet(4)); err == nil {
-		t.Error("zero compression accepted")
+	// Non-finite factors, and factors that stretch the trace past the
+	// simulated clock, are errors rather than wrapped (past) times.
+	for _, cf := range []float64{0, -2, math.NaN(), math.Inf(1), 1e-30} {
+		if err := (Replay{Trace: tr, Compression: cf}).Install(newFakeNet(4)); err == nil {
+			t.Errorf("compression %v accepted", cf)
+		}
+	}
+	if err := (Replay{Trace: Trace{}, Compression: 1e-30}).Install(newFakeNet(4)); err != nil {
+		t.Errorf("empty trace rejected: %v", err)
 	}
 }
 

@@ -151,9 +151,9 @@ func SummarizeSeries(s Series) SeriesSummary { return stats.Summarize(s) }
 func Sweep(runs []Run, o Options) ([]*Result, error) { return experiments.Sweep(runs, o) }
 
 // SweepContext is Sweep under a context: when ctx is canceled or times
-// out, the sweep stops scheduling new runs, interrupts in-flight serial
-// runs, and returns the completed results alongside an error matching
-// errors.Is(err, ErrCanceled).
+// out, the sweep stops scheduling new runs, interrupts in-flight runs
+// (serial and sharded), and returns the completed results alongside an
+// error matching errors.Is(err, ErrCanceled).
 func SweepContext(ctx context.Context, runs []Run, o Options) ([]*Result, error) {
 	return experiments.SweepContext(ctx, runs, o)
 }
@@ -317,6 +317,10 @@ func ValidTopology(name string) bool { return experiments.ValidTopology(name) }
 // ValidScale rejects an Options.Scale no run can use (NaN, ±Inf,
 // negative, or overflowing the simulated clock); 0 is the default.
 func ValidScale(scale float64) error { return experiments.ValidScale(scale) }
+
+// ValidFaultSpec rejects an Options.FaultSpec that cannot parse
+// ("seed=auto" allowed), so CLIs can fail before any run starts.
+func ValidFaultSpec(spec string) error { return experiments.ValidFaultSpec(spec) }
 
 // NewMesh builds a cols×rows 2D mesh (one host per switch, XY routing).
 // The paper notes RECN works on direct networks too; the same fabric
